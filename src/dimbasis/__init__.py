@@ -37,7 +37,6 @@ from .model import (
     Quantity,
     build_matrix,
     evaluate_invariant,
-    invariant_support,
 )
 from .problem import Problem, ProblemParseError, parse_dimension_expression, parse_problem
 from .representations import (
@@ -82,7 +81,6 @@ __all__ = [
     "evaluate_invariant",
     "express_dependent_invariant",
     "graver_basis",
-    "invariant_support",
     "is_circuit_set",
     "parse_dimension_expression",
     "parse_problem",

@@ -11,7 +11,11 @@ Terminology, with the quantity columns of a dimensional matrix as ground set:
   unique up to sign, stored as an :class:`~dimbasis.model.InvariantPair`.
 * circuit basis: all circuit invariant pairs of the matrix.
 * unified basis: the union over all basis sets of their reduced invariants,
-  deduplicated at pair level.
+  deduplicated at pair level. As a set of pairs it equals the circuit basis:
+  each reduced invariant is the fundamental circuit of its non-basis
+  quantity, and every circuit C is the fundamental circuit of any e in C over
+  a basis set extending C - e (Oxley, *Matroid Theory*, section 1.2). It is
+  therefore computed from the circuits.
 
 Enumeration is exhaustive over column subsets and therefore intended for
 desk-scale matrices; inputs are capped by ``max_n``. All outputs are in
@@ -30,15 +34,19 @@ from .model import DimensionalMatrix, Invariant, InvariantPair
 
 
 @dataclass(frozen=True)
-class BasisSet:
-    """Column indices of a maximal independent set of quantities."""
+class IndexSet:
+    """Sorted, distinct column indices of a set of quantities.
+
+    Serves both as a basis set (a maximal independent set, possibly empty)
+    and as a circuit set (a minimal dependent set).
+    """
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(sorted(self.indices)))
         if len(set(self.indices)) != len(self.indices):
-            raise ValueError("basis set indices must be distinct")
+            raise ValueError("indices must be distinct")
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
@@ -50,27 +58,7 @@ class BasisSet:
         return index in self.indices
 
 
-@dataclass(frozen=True)
-class CircuitSet:
-    """Column indices of a minimal dependent set of quantities."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(self.indices)))
-        if not self.indices:
-            raise ValueError("a circuit set cannot be empty")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("circuit set indices must be distinct")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.indices
+BasisSet = CircuitSet = IndexSet
 
 
 @dataclass(frozen=True)
@@ -221,16 +209,9 @@ def unified_basis(
 ) -> list[Invariant]:
     """Union of all basis-set invariants, deduplicated at pair level.
 
-    Each pair is reported once, in its canonical orientation, sorted by
-    exponent vector. The result is always contained in the circuit basis
-    when both are compared as pairs.
+    By the fundamental-circuit theorem (see the module docstring) this union
+    is exactly the circuit basis, so it is taken from there. Each pair is
+    reported once, in its canonical orientation, sorted by exponent vector.
     """
-    seen: set[tuple[int, ...]] = set()
-    out: list[Invariant] = []
-    for basis in enumerate_basis_sets(matrix, max_n):
-        for invariant in basis_set_invariants(matrix, basis).invariants:
-            canonical = invariant.canonical()
-            if canonical.exponents not in seen:
-                seen.add(canonical.exponents)
-                out.append(canonical)
-    return sorted(out, key=lambda inv: inv.exponents)
+    pairs = circuit_basis(matrix, max_n)
+    return sorted((p.canonical for p in pairs), key=lambda inv: inv.exponents)

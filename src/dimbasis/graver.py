@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .enumeration import circuit_basis
 from .errors import DEFAULT_MAX_N, SizeLimitError
-from .model import DimensionalMatrix
+from .model import DimensionalMatrix, Invariant
 
 Vector = tuple[int, ...]
 
@@ -42,13 +42,8 @@ class GraverElement:
 
     @classmethod
     def of(cls, vector: Sequence[int]) -> "GraverElement":
-        v = tuple(vector)
-        first = next((x for x in v if x), 0)
-        if first == 0:
-            raise ValueError("the zero vector is not a Graver element")
-        if first < 0:
-            v = tuple(-x for x in v)
-        return cls(v)
+        """The element of a nonzero primitive kernel vector, in either orientation."""
+        return cls(Invariant(tuple(vector)).canonical().exponents)
 
 
 def conforms(x: Sequence[int], y: Sequence[int]) -> bool:

@@ -65,6 +65,20 @@ def _echelon(rows: Sequence[Sequence[int | Fraction]]):
     return work, pivot_cols
 
 
+def _back_substitute(work, pivots: Sequence[int], x: list[Fraction]) -> list[Fraction]:
+    """Fill the pivot entries of *x* so that ``work @ x == 0``.
+
+    *work* and *pivots* come from :func:`_echelon`; the non-pivot entries of
+    *x* are fixed by the caller and left as they are.
+    """
+    n = len(x)
+    for k in reversed(range(len(pivots))):
+        c = pivots[k]
+        s = sum((work[k][j] * x[j] for j in range(c + 1, n)), Fraction(0))
+        x[c] = -s / work[k][c]
+    return x
+
+
 def rank(matrix: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix over the rationals."""
     rows = validate_matrix(matrix)
@@ -86,11 +100,7 @@ def kernel_basis(matrix: Sequence[Sequence[int]]) -> KernelBasis:
     for f in free_cols:
         x = [Fraction(0)] * n
         x[f] = Fraction(1)
-        for k in reversed(range(len(pivot_cols))):
-            c = pivot_cols[k]
-            s = sum((work[k][j] * x[j] for j in range(c + 1, n)), Fraction(0))
-            x[c] = -s / work[k][c]
-        vectors.append(tuple(x))
+        vectors.append(tuple(_back_substitute(work, pivot_cols, x)))
     return KernelBasis(tuple(vectors), free_cols, tuple(pivot_cols))
 
 
@@ -135,7 +145,7 @@ def solve_in_basis(
         Exact rational coefficients, ordered like ``basis_cols``.
     """
     rows = validate_matrix(matrix)
-    m, n = len(rows), len(rows[0])
+    n = len(rows[0])
     cols = list(basis_cols)
     if len(set(cols)) != len(cols):
         raise ValueError("basis columns contain duplicates")
@@ -148,20 +158,11 @@ def solve_in_basis(
     if len(cols) != r:
         raise ValueError(f"expected {r} basis columns (the matrix rank), got {len(cols)}")
 
-    k = len(cols)
-    augmented = [[Fraction(rows[i][c]) for c in cols] + [Fraction(rows[i][target_col])]
-                 for i in range(m)]
-    work, pivots = _echelon(augmented)
-    if any(p == k for p in pivots):
+    columns = tuple(zip(*rows))
+    x = express_in_span([columns[c] for c in cols], columns[target_col])
+    if x is None:
         raise ValueError("target column lies outside the span of the basis columns")
-    if len(pivots) != k:
-        raise ValueError("basis columns are not linearly independent")
-    x = [Fraction(0)] * k
-    for row_idx in reversed(range(len(pivots))):
-        c = pivots[row_idx]
-        s = sum((work[row_idx][j] * x[j] for j in range(c + 1, k)), Fraction(0))
-        x[c] = (work[row_idx][k] - s) / work[row_idx][c]
-    return tuple(x)
+    return x
 
 
 def express_in_span(
@@ -174,21 +175,15 @@ def express_in_span(
     """
     if not vectors:
         return () if all(Fraction(t) == 0 for t in target) else None
-    n = len(target)
     k = len(vectors)
-    augmented = [[Fraction(vectors[i][j]) for i in range(k)] + [Fraction(target[j])]
-                 for j in range(n)]
+    augmented = [[vector[j] for vector in vectors] + [t] for j, t in enumerate(target)]
     work, pivots = _echelon(augmented)
     if any(p == k for p in pivots):
         return None
     if len(pivots) != k:
         raise ValueError("vectors are not linearly independent")
-    x = [Fraction(0)] * k
-    for row_idx in reversed(range(len(pivots))):
-        c = pivots[row_idx]
-        s = sum((work[row_idx][j] * x[j] for j in range(c + 1, k)), Fraction(0))
-        x[c] = (work[row_idx][k] - s) / work[row_idx][c]
-    return tuple(x)
+    x = [Fraction(0)] * k + [Fraction(-1)]
+    return tuple(_back_substitute(work, pivots, x)[:k])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -171,11 +171,6 @@ class InvariantPair:
         return self.canonical.exponents
 
 
-def invariant_support(invariant: Invariant) -> frozenset[int]:
-    """Indices of the quantities occurring in the invariant."""
-    return invariant.support
-
-
 def evaluate_invariant(invariant: Invariant, values: Sequence[float]) -> float:
     """Numerical value of the power product at the given quantity values.
 

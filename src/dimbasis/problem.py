@@ -142,6 +142,8 @@ def parse_problem(text: str) -> Problem:
         raise ProblemParseError(
             f"not valid JSON (line {e.lineno}, column {e.colno}): {e.msg}"
         ) from None
+    except RecursionError:
+        raise ProblemParseError("not valid JSON: nested too deeply") from None
     _require(isinstance(doc, dict), "top level: expected a JSON object")
     assert isinstance(doc, dict)
     unknown = set(doc) - {"dimensions", "quantities", "dependent", "excluded"}

@@ -2,14 +2,21 @@
 
 These deliberately avoid the package's elimination code: rank comes from
 minor determinants (Laplace expansion), basis and circuit sets from their
-set-theoretic definitions. Only usable for small matrices.
+set-theoretic definitions. The exception is :func:`oracle_unified_basis`,
+which is the unified basis by its definition, built from the package's
+per-basis-set reductions. Only usable for small matrices.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from dimbasis import DimensionalMatrix
+from dimbasis import (
+    DimensionalMatrix,
+    Invariant,
+    basis_set_invariants,
+    enumerate_basis_sets,
+)
 
 
 def det(square: list[list[int]]) -> int:
@@ -70,3 +77,20 @@ def oracle_circuit_sets(matrix: DimensionalMatrix) -> list[tuple[int, ...]]:
             if proper_ok:
                 circuits.append(subset)
     return sorted(circuits)
+
+
+def oracle_unified_basis(matrix: DimensionalMatrix) -> list[Invariant]:
+    """Union of the reduced invariants over every basis set, as canonical pairs.
+
+    One ``solve_in_basis`` per non-basis quantity and basis set; sorted by
+    exponent vector.
+    """
+    seen: set[tuple[int, ...]] = set()
+    out: list[Invariant] = []
+    for basis in enumerate_basis_sets(matrix):
+        for invariant in basis_set_invariants(matrix, basis).invariants:
+            canonical = invariant.canonical()
+            if canonical.exponents not in seen:
+                seen.add(canonical.exponents)
+                out.append(canonical)
+    return sorted(out, key=lambda inv: inv.exponents)

@@ -170,6 +170,24 @@ def test_parse_error_exits_1(capsys, tmp_path):
     assert "error" in err
 
 
+def test_deeply_nested_json_exits_1(capsys, tmp_path):
+    path = tmp_path / "nested.dim"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "rank", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "latin1.dim"
+    path.write_bytes((FIXTURE_DIR / "pipe.dim").read_bytes().replace(b'"mu"', b'"\xb5"'))
+    code, out, err = run(capsys, "rank", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 def test_size_cap_exits_2(capsys):
     code, _, err = run(capsys, "circuits", "--input", PIPE, "--max-n", "3")
     assert code == 2

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimbasis import (
     BasisSet,
@@ -17,7 +19,7 @@ from dimbasis import (
     unified_basis,
 )
 from conftest import matrix_of
-from oracles import oracle_basis_sets, oracle_circuit_sets
+from oracles import oracle_basis_sets, oracle_circuit_sets, oracle_unified_basis
 
 # Quantity order (dP/l, rho, mu, d, u). Canonical orientations of the five
 # circuit invariant pairs of the turbulent pipe matrix.
@@ -175,9 +177,31 @@ def test_laminar_unified_basis_is_one_invariant(laminar):
 def test_unified_subset_of_circuit_pairs(pipe, laminar, falling_body, two_body):
     for matrix in (pipe, laminar, falling_body, two_body):
         circuit_pairs = {p.exponents for p in circuit_basis(matrix)}
+        assert unified_basis(matrix) == oracle_unified_basis(matrix)
         for invariant in unified_basis(matrix):
             assert invariant.exponents in circuit_pairs
             assert next(e for e in invariant.exponents if e) > 0  # canonical
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 4x8 with entries in [-3, 3]; often a row is the sum of two others."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    entries = st.integers(-3, 3)
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    if m >= 3 and draw(st.booleans()):
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    return matrix_of(
+        tuple(f"D{i}" for i in range(m)),
+        tuple((f"q{j}", tuple(row[j] for row in rows)) for j in range(n)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_unified_basis_matches_per_basis_set_union(matrix):
+    assert unified_basis(matrix) == oracle_unified_basis(matrix)
 
 
 # -------------------------------------------------------------- properties

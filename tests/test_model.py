@@ -13,7 +13,6 @@ from dimbasis import (
     Quantity,
     build_matrix,
     evaluate_invariant,
-    invariant_support,
 )
 from conftest import matrix_of
 
@@ -82,17 +81,17 @@ def test_invariant_pair_identity():
 
 def test_reynolds_support(pipe):
     reynolds = Invariant((0, 1, -1, 1, 1))
-    assert invariant_support(reynolds) == {1, 2, 3, 4}
+    assert reynolds.support == {1, 2, 3, 4}
     assert {pipe.names[j] for j in reynolds.support} == {"rho", "mu", "d", "u"}
 
 
 def test_unit_invariant_support_is_singleton():
-    assert invariant_support(Invariant((0, 1, 0))) == {1}
+    assert Invariant((0, 1, 0)).support == {1}
 
 
 def test_embedded_displacement_invariant_support(falling_body):
     inv = Invariant((1, 0, 0, -1, -2))
-    assert len(invariant_support(inv)) == 3
+    assert len(inv.support) == 3
 
 
 # ---------------------------------------------------------------- evaluation
