@@ -3,7 +3,8 @@
 Given a dimensional matrix over integer exponents, this package enumerates
 every maximal independent set of quantities (basis set), every minimal
 dependent set (circuit set), the corresponding minimal invariant pairs
-(circuit basis and unified basis), the Graver basis of the integer kernel,
+(circuit basis and unified basis), the Graver basis of the integer kernel
+(as the same :class:`InvariantPair` type as the circuit basis),
 and every power-product representation of a designated functional relation.
 All core arithmetic is exact rational; floating point appears only in
 numerical evaluation helpers.
@@ -24,7 +25,6 @@ from .enumeration import (
 from .errors import DEFAULT_MAX_N, SizeLimitError
 from .graver import (
     GraverContainment,
-    GraverElement,
     check_circuits_in_graver,
     conforms,
     graver_basis,
@@ -59,7 +59,6 @@ __all__ = [
     "DimensionalMatrix",
     "EquationSystem",
     "GraverContainment",
-    "GraverElement",
     "Invariant",
     "InvariantPair",
     "Problem",

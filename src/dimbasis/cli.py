@@ -12,24 +12,12 @@ import argparse
 import sys
 from math import comb, gcd
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import enumeration, graver, render, representations
 from .errors import DEFAULT_MAX_N, SizeLimitError
 from .model import DimensionalMatrix
 from .problem import Problem, ProblemParseError, parse_problem
-
-_COMMANDS = (
-    "rank",
-    "basis-sets",
-    "circuits",
-    "circuit-basis",
-    "unified-basis",
-    "graver",
-    "representations",
-    "check",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -83,10 +71,18 @@ def _parse_graver_method(text: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown Graver method {text!r} (use completion or brute:<bound>)")
 
 
-def _labels(matrix: DimensionalMatrix, style: str) -> tuple[str, ...]:
-    if style == "latex":
-        return tuple(q.display or q.name for q in matrix.quantities)
-    return matrix.names
+class _Output(NamedTuple):
+    """A subcommand's result, rendered by :func:`main` in the chosen format.
+
+    ``payload`` gives the JSON keys that follow the bundle header; ``lines``
+    gives the text or LaTeX lines for the given quantity labels and style.
+    Both are called only for the format being printed.
+    """
+
+    payload: Callable[[], dict]
+    lines: Callable[[Sequence[str], str], list[str]]
+    ok: bool = True
+    warning: str | None = None
 
 
 def _bundle(command: str, matrix: DimensionalMatrix) -> dict:
@@ -99,89 +95,45 @@ def _bundle(command: str, matrix: DimensionalMatrix) -> dict:
     }
 
 
-def _emit(lines: Sequence[str], out) -> None:
-    for line in lines:
-        print(line, file=out)
+def _cmd_rank(problem: Problem, args) -> _Output:
+    rank = problem.matrix.rank
+    return _Output(lambda: {}, lambda labels, style: [str(rank)])
 
 
-def _cmd_rank(problem: Problem, args, out) -> int:
-    matrix = problem.matrix
-    if args.format == "json":
-        out.write(render.to_json(_bundle("rank", matrix)))
-    else:
-        print(matrix.rank, file=out)
-    return 0
-
-
-def _cmd_index_sets(problem: Problem, args, out) -> int:
-    matrix = problem.matrix
+def _cmd_index_sets(problem: Problem, args) -> _Output:
     if args.command == "basis-sets":
-        sets = [b.indices for b in enumeration.enumerate_basis_sets(matrix, args.max_n)]
+        sets = enumeration.enumerate_basis_sets(problem.matrix, args.max_n)
         key = "basisSets"
     else:
-        sets = [c.indices for c in enumeration.enumerate_circuit_sets(matrix, args.max_n)]
+        sets = enumeration.enumerate_circuit_sets(problem.matrix, args.max_n)
         key = "circuits"
-    if args.format == "json":
-        bundle = _bundle(args.command, matrix)
-        bundle[key] = [list(s) for s in sets]
-        out.write(render.to_json(bundle))
-    else:
-        labels = _labels(matrix, args.format)
-        _emit([render.render_index_set(s, labels, args.format) for s in sets], out)
-    return 0
+    return _Output(
+        lambda: {key: [list(s.indices) for s in sets]},
+        lambda labels, style: [render.render_index_set(s.indices, labels, style) for s in sets],
+    )
 
 
-def _cmd_invariant_basis(problem: Problem, args, out) -> int:
+def _cmd_invariants(problem: Problem, args) -> _Output:
+    """``circuit-basis``, ``unified-basis`` and ``graver``: one invariant per line."""
     matrix = problem.matrix
+    header: dict = {}
+    key = "invariants"
     if args.command == "circuit-basis":
         invariants = [p.canonical for p in enumeration.circuit_basis(matrix, args.max_n)]
-    else:
+    elif args.command == "unified-basis":
         invariants = enumeration.unified_basis(matrix, args.max_n)
-    if args.format == "json":
-        bundle = _bundle(args.command, matrix)
-        bundle["invariants"] = [
-            render.invariant_json(inv, matrix.names) for inv in invariants
-        ]
-        out.write(render.to_json(bundle))
     else:
-        labels = _labels(matrix, args.format)
-        _emit([render.render_invariant(inv, labels, args.format) for inv in invariants], out)
-    return 0
-
-
-def _cmd_graver(problem: Problem, args, out) -> int:
-    matrix = problem.matrix
-    method, bound = _parse_graver_method(args.graver_method)
-    elements = sorted(
-        graver.graver_basis(matrix, method, bound=bound, max_n=args.max_n),
-        key=lambda g: g.exponents,
+        method, bound = _parse_graver_method(args.graver_method)
+        pairs = graver.graver_basis(matrix, method, bound=bound, max_n=args.max_n)
+        invariants = sorted((p.canonical for p in pairs), key=lambda inv: inv.exponents)
+        header, key = {"graverMethod": args.graver_method}, "graver"
+    return _Output(
+        lambda: {**header, key: [render.invariant_json(inv, matrix.names) for inv in invariants]},
+        lambda labels, style: [render.render_invariant(inv, labels, style) for inv in invariants],
     )
-    if args.format == "json":
-        bundle = _bundle("graver", matrix)
-        bundle["graverMethod"] = args.graver_method
-        bundle["graver"] = [
-            {
-                "exponents": list(g.exponents),
-                "text": render.render_power_product(
-                    [(matrix.names[j], e) for j, e in enumerate(g.exponents) if e]
-                ),
-            }
-            for g in elements
-        ]
-        out.write(render.to_json(bundle))
-    else:
-        labels = _labels(matrix, args.format)
-        lines = [
-            render.render_power_product(
-                [(labels[j], e) for j, e in enumerate(g.exponents) if e], args.format
-            )
-            for g in elements
-        ]
-        _emit(lines, out)
-    return 0
 
 
-def _cmd_representations(problem: Problem, args, out, err) -> int:
+def _cmd_representations(problem: Problem, args) -> _Output:
     matrix = problem.matrix
     dependent = problem.dependent
     if args.dependent is not None:
@@ -200,24 +152,20 @@ def _cmd_representations(problem: Problem, args, out, err) -> int:
             excluded = tuple(matrix.index_of(x) for x in names)
         except KeyError as e:
             raise ValueError(f"unknown excluded quantity {e.args[0]!r}") from None
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ValueError(f"duplicate excluded quantity {name!r}")
     system = representations.equation_system(matrix, dependent, excluded, args.max_n)
-    if system.warning:
-        print(f"warning: {system.warning}", file=err)
-    if args.format == "json":
-        bundle = _bundle("representations", matrix)
-        bundle["excluded"] = [matrix.names[j] for j in excluded]
-        bundle.update(render.equation_system_json(system, matrix))
-        out.write(render.to_json(bundle))
-    else:
-        labels = _labels(matrix, args.format)
-        _emit(
-            [
-                render.render_representation(rep, labels, args.format)
-                for rep in system.representations
-            ],
-            out,
-        )
-    return 0
+    return _Output(
+        lambda: {
+            "excluded": [matrix.names[j] for j in excluded],
+            **render.equation_system_json(system, matrix),
+        },
+        lambda labels, style: [
+            render.render_representation(rep, labels, style) for rep in system.representations
+        ],
+        warning=system.warning,
+    )
 
 
 def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
@@ -295,19 +243,31 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _cmd_check(problem: Problem, args, out) -> int:
+def _cmd_check(problem: Problem, args) -> _Output:
     results = _run_checks(problem, args)
-    if args.format == "json":
-        bundle = _bundle("check", problem.matrix)
-        bundle["checks"] = [
-            {"name": name, "ok": ok, "detail": detail} for name, ok, detail in results
-        ]
-        out.write(render.to_json(bundle))
-    else:
-        for name, ok, detail in results:
-            status = "ok" if ok else "violation"
-            print(f"{status}: {name} ({detail})", file=out)
-    return 0 if all(ok for _, ok, _ in results) else 3
+    return _Output(
+        lambda: {
+            "checks": [
+                {"name": name, "ok": ok, "detail": detail} for name, ok, detail in results
+            ]
+        },
+        lambda labels, style: [
+            f"{'ok' if ok else 'violation'}: {name} ({detail})" for name, ok, detail in results
+        ],
+        ok=all(ok for _, ok, _ in results),
+    )
+
+
+_COMMANDS: dict[str, Callable[[Problem, argparse.Namespace], _Output]] = {
+    "rank": _cmd_rank,
+    "basis-sets": _cmd_index_sets,
+    "circuits": _cmd_index_sets,
+    "circuit-basis": _cmd_invariants,
+    "unified-basis": _cmd_invariants,
+    "graver": _cmd_invariants,
+    "representations": _cmd_representations,
+    "check": _cmd_check,
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -331,17 +291,22 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         problem = parse_problem(text)
-        if args.command == "rank":
-            return _cmd_rank(problem, args, out)
-        if args.command in ("basis-sets", "circuits"):
-            return _cmd_index_sets(problem, args, out)
-        if args.command in ("circuit-basis", "unified-basis"):
-            return _cmd_invariant_basis(problem, args, out)
-        if args.command == "graver":
-            return _cmd_graver(problem, args, out)
-        if args.command == "representations":
-            return _cmd_representations(problem, args, out, err)
-        return _cmd_check(problem, args, out)
+        matrix = problem.matrix
+        result = _COMMANDS[args.command](problem, args)
+        if result.warning:
+            print(f"warning: {result.warning}", file=err)
+        if args.format == "json":
+            bundle = _bundle(args.command, matrix)
+            bundle.update(result.payload())
+            out.write(render.to_json(bundle))
+        else:
+            labels = matrix.names
+            if args.format == "latex":
+                labels = tuple(q.display or q.name for q in matrix.quantities)
+            for line in result.lines(labels, args.format):
+                print(line, file=out)
+        # ``check`` is the only subcommand whose result can fail.
+        return 0 if result.ok else 3
     except SizeLimitError as e:
         print(f"error: {e}", file=err)
         return 2

@@ -163,7 +163,7 @@ def circuit_invariant(matrix: DimensionalMatrix, circuit: CircuitSet) -> Invaria
     primitive = linalg.primitive_scale(vector)
     for k, j in enumerate(subset):
         full[j] = primitive[k]
-    return InvariantPair.of(Invariant(tuple(full)))
+    return InvariantPair(Invariant(tuple(full)))
 
 
 def circuit_basis(

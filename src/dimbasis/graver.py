@@ -5,6 +5,9 @@ Order the nonzero integer kernel vectors of a dimensional matrix by
 compatible and entrywise no larger). The Graver basis is the set of minimal
 elements under this order. Every circuit tuple is such a minimal element, so
 the circuit basis embeds into the Graver basis; the converse can fail.
+Minimal elements are primitive and come with their sign flips, so
+:func:`graver_basis` returns them as :class:`~dimbasis.model.InvariantPair`
+values, the same type as the circuit basis, and the two compare as sets.
 
 Two methods are provided:
 
@@ -29,21 +32,9 @@ from typing import Iterable, Sequence
 from . import linalg
 from .enumeration import circuit_basis
 from .errors import DEFAULT_MAX_N, SizeLimitError
-from .model import DimensionalMatrix, Invariant
+from .model import DimensionalMatrix, Invariant, InvariantPair
 
 Vector = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GraverElement:
-    """A minimal kernel vector and its sign flip, stored canonically."""
-
-    exponents: Vector
-
-    @classmethod
-    def of(cls, vector: Sequence[int]) -> "GraverElement":
-        """The element of a nonzero primitive kernel vector, in either orientation."""
-        return cls(Invariant(tuple(vector)).canonical().exponents)
 
 
 def conforms(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -113,7 +104,7 @@ def graver_basis(
     *,
     bound: int | None = None,
     max_n: int = DEFAULT_MAX_N,
-) -> frozenset[GraverElement]:
+) -> frozenset[InvariantPair]:
     """Compute the Graver basis of the matrix kernel.
 
     Args:
@@ -124,8 +115,8 @@ def graver_basis(
         max_n: quantity-count cap.
 
     Returns:
-        The basis as a frozenset of canonical pairs; each element stands for
-        both of its orientations.
+        The basis as a frozenset of invariant pairs, the type the circuit
+        basis uses; each pair stands for both of its orientations.
     """
     n = len(matrix.quantities)
     if n > max_n:
@@ -139,7 +130,7 @@ def graver_basis(
         vectors = _brute_force(rows, bound)
     else:
         raise ValueError(f"unknown Graver method: {method!r}")
-    return frozenset(GraverElement.of(v) for v in vectors)
+    return frozenset(InvariantPair(Invariant(v)) for v in vectors)
 
 
 @dataclass(frozen=True)
@@ -163,10 +154,10 @@ def check_circuits_in_graver(
     The report also lists Graver elements that are not circuit tuples (the
     containment is usually strict).
     """
-    circuits = {pair.exponents for pair in circuit_basis(matrix, max_n)}
-    graver = {g.exponents for g in graver_basis(matrix, method, bound=bound, max_n=max_n)}
-    missing = tuple(sorted(circuits - graver))
-    witnesses = tuple(sorted(graver - circuits))
+    circuits = set(circuit_basis(matrix, max_n))
+    graver = graver_basis(matrix, method, bound=bound, max_n=max_n)
+    missing = tuple(sorted(p.exponents for p in circuits - graver))
+    witnesses = tuple(sorted(p.exponents for p in graver - circuits))
     return GraverContainment(
         contained=not missing,
         missing=missing,

@@ -162,10 +162,6 @@ class InvariantPair:
     def __post_init__(self):
         object.__setattr__(self, "canonical", self.canonical.canonical())
 
-    @classmethod
-    def of(cls, invariant: Invariant) -> "InvariantPair":
-        return cls(invariant)
-
     @property
     def exponents(self) -> tuple[int, ...]:
         return self.canonical.exponents

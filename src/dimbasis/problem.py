@@ -131,6 +131,11 @@ def _parse_quantity(entry: object, index: int, dimensions: tuple[str, ...]) -> Q
     display = entry.get("display")
     if display is not None:
         _require(isinstance(display, str), f"{where}.display: expected a string")
+        # A JSON \u escape can yield a lone surrogate, which no output can encode.
+        try:
+            display.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ProblemParseError(f"{where}.display: not encodable as UTF-8") from None
     return Quantity(name=name, dims=vector, display=display)
 
 

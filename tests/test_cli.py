@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dimbasis.cli import main
 from conftest import FIXTURE_DIR
@@ -83,6 +87,15 @@ def test_representations_dependent_flag_overrides(capsys):
     )
     assert code == 0
     assert all(line.startswith("u = ") for line in out.splitlines())
+
+
+def test_representations_duplicate_exclude_exits_1(capsys):
+    code, out, err = run(
+        capsys, "representations", "--input", PIPE, "--exclude", "rho,rho", "--format", "json"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: duplicate excluded quantity 'rho'\n"
 
 
 def test_representations_without_dependent_errors(capsys, tmp_path):
@@ -188,6 +201,23 @@ def test_non_utf8_file_exits_1(capsys, tmp_path):
     assert err.startswith("error: cannot read") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+def test_unencodable_display_exits_1(capsys, tmp_path, fmt):
+    path = tmp_path / "surrogate.dim"
+    # json.dumps writes the lone surrogate as the escape \ud800.
+    path.write_text(json.dumps({
+        "dimensions": ["L"],
+        "quantities": [
+            {"name": "a", "dims": [1]},
+            {"name": "b", "dims": [1], "display": "\ud800"},
+        ],
+    }))
+    code, out, err = run(capsys, "circuit-basis", "--input", str(path), "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: quantities[1].display: ") and err.count("\n") == 1
+
+
 def test_size_cap_exits_2(capsys):
     code, _, err = run(capsys, "circuits", "--input", PIPE, "--max-n", "3")
     assert code == 2
@@ -229,3 +259,139 @@ def test_text_runs_are_deterministic(capsys):
     first = run(capsys, "unified-basis", "--input", FALLING)
     second = run(capsys, "unified-basis", "--input", FALLING)
     assert first == second
+
+
+# --------------------------------------------------------------- fuzzing
+
+COMMANDS = (
+    "rank", "basis-sets", "circuits", "circuit-basis", "unified-basis",
+    "graver", "representations", "check",
+)
+FIXTURE_TEXTS = [
+    (FIXTURE_DIR / name).read_text(encoding="utf-8")
+    for name in ("pipe.dim", "laminar.dim", "falling_body.dim", "two_body.dim")
+]
+NAMES = ["dP/l", "rho", "mu", "d", "u", "S(t)", "t", "m1", "G", "a b", ""]
+
+# Lone surrogates included: json.dumps escapes them, json.loads restores them.
+any_text = st.text(st.characters(exclude_categories=()), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.integers() | st.floats()
+    | st.sampled_from(NAMES + ["L", "T", "M", "L T^-1", "M^2 L^-3"]) | any_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["name", "dims", "expr", "display"]) | any_text,
+                      children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def problem_docs(draw) -> dict:
+    """Mostly well-formed problems; about one field in ten is off."""
+
+    def rarely() -> bool:
+        # Not 0: Hypothesis draws the low end of a range far more often.
+        return draw(st.integers(0, 9)) == 7
+
+    dims = draw(st.lists(st.sampled_from(["L", "T", "M"]), min_size=1, max_size=3, unique=True))
+    names = draw(st.lists(st.sampled_from(NAMES[:-2]), min_size=1, max_size=6, unique=True))
+    quantities = []
+    for name in names:
+        exponents = draw(st.lists(st.integers(-3, 3), min_size=len(dims), max_size=len(dims)))
+        quantity = {"name": draw(st.sampled_from(NAMES[-2:])) if rarely() else name}
+        if draw(st.booleans()):
+            quantity["dims"] = exponents
+        else:
+            expr = " ".join(f"{d}^{e}" for d, e in zip(dims, exponents))
+            quantity["expr"] = draw(st.sampled_from(["L^x", "Q"])) if rarely() else expr
+        if draw(st.booleans()):
+            quantity["display"] = draw(st.sampled_from(["\ud800", "x\udfff"]) if rarely()
+                                       else st.sampled_from([r"\rho", r"\Delta P"]) | any_text)
+        quantities.append(quantity)
+    doc = {"dimensions": dims, "quantities": quantities}
+    if draw(st.booleans()):
+        doc["dependent"] = draw(json_values if rarely() else st.sampled_from(names))
+    if draw(st.booleans()):
+        doc["excluded"] = draw(json_values if rarely() else st.lists(st.sampled_from(names), max_size=2))
+    return doc
+
+
+@st.composite
+def mutated_fixtures(draw) -> bytes:
+    """A fixture with one value replaced or deleted, or its bytes cut or spliced."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    if draw(st.booleans()):
+        data = bytearray(text.encode("utf-8"))
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, min(len(data), start + 8)))
+        data[start:stop] = draw(st.binary(max_size=4))
+        return bytes(data)
+    doc = json.loads(text)
+    node = doc
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        if not keys:
+            break
+        key = draw(st.sampled_from(keys))
+        action = draw(st.sampled_from(["replace", "delete", "descend"]))
+        if action == "descend" and isinstance(node[key], (dict, list)):
+            node = node[key]
+            continue
+        if action == "delete":
+            del node[key]
+        else:
+            node[key] = draw(json_values)
+        break
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "problem.dim"
+
+
+def check_contract(path, data: bytes, command: str, fmt: str) -> None:
+    """Run main in-process on the file and assert the CLI contract."""
+    path.write_bytes(data)
+    argv = [command, "--input", str(path), "--format", fmt, "--max-n", "5"]
+    if command in ("graver", "check"):
+        argv += ["--graver-method", "brute:1"]
+    # Strict UTF-8 streams, like a real stdout: unencodable output raises.
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+                for _ in range(2))
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    stdout = out.buffer.getvalue().decode("utf-8")
+    stderr = err.buffer.getvalue().decode("utf-8")
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.endswith("\n"), stderr
+        assert stderr.count("\n") == 1, stderr
+    elif code == 0:
+        assert stderr == "" or (stderr.startswith("warning: ") and stderr.count("\n") == 1)
+
+
+fuzz_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+commands = st.sampled_from(COMMANDS)
+formats = st.sampled_from(["text", "latex", "json"])
+
+
+@fuzz_settings
+@given(data=st.binary(max_size=200), command=commands, fmt=formats)
+def test_fuzz_arbitrary_bytes(fuzz_path, data, command, fmt):
+    check_contract(fuzz_path, data, command, fmt)
+
+
+@fuzz_settings
+@given(doc=problem_docs() | json_values, command=commands, fmt=formats)
+def test_fuzz_arbitrary_json(fuzz_path, doc, command, fmt):
+    check_contract(fuzz_path, json.dumps(doc).encode("utf-8"), command, fmt)
+
+
+@fuzz_settings
+@given(data=mutated_fixtures(), command=commands, fmt=formats)
+def test_fuzz_mutated_fixtures(fuzz_path, data, command, fmt):
+    check_contract(fuzz_path, data, command, fmt)

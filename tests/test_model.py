@@ -72,8 +72,8 @@ def test_invariant_rejects_zero_and_non_primitive():
 
 
 def test_invariant_pair_identity():
-    a = InvariantPair.of(Invariant((0, 1, -1, 1, 1)))
-    b = InvariantPair.of(Invariant((0, -1, 1, -1, -1)))
+    a = InvariantPair(Invariant((0, 1, -1, 1, 1)))
+    b = InvariantPair(Invariant((0, -1, 1, -1, -1)))
     assert a == b
     assert a.exponents == (0, 1, -1, 1, 1)
     assert len({a, b}) == 1

@@ -124,6 +124,13 @@ def test_parse_rejects_bad_name_with_context():
         parse_problem(text)
 
 
+def test_parse_rejects_unencodable_display():
+    # json.dumps writes the lone surrogate as the escape \ud800.
+    text = doc(quantities=[{"name": "u", "dims": [1, 0, 0], "display": "a\ud800"}])
+    with pytest.raises(ProblemParseError, match=r"quantities\[0\].display: not encodable"):
+        parse_problem(text)
+
+
 def test_parse_expr_errors_carry_field_context():
     text = doc(quantities=[{"name": "u", "expr": "L^x"}])
     with pytest.raises(ProblemParseError, match=r"quantities\[0\].expr"):
