@@ -4,7 +4,8 @@ Given a dimensional matrix over integer exponents, this package enumerates
 every maximal independent set of quantities (basis set), every minimal
 dependent set (circuit set), the corresponding minimal invariant pairs
 (circuit basis and unified basis), the Graver basis of the integer kernel
-(as the same :class:`InvariantPair` type as the circuit basis),
+(as the same :class:`InvariantPair` type as the circuit basis, so the
+embedding of the circuits reads ``set(circuit_basis(m)) <= graver_basis(m)``),
 and every power-product representation of a designated functional relation.
 All core arithmetic is exact rational; floating point appears only in
 numerical evaluation helpers.
@@ -23,12 +24,7 @@ from .enumeration import (
     unified_basis,
 )
 from .errors import DEFAULT_MAX_N, SizeLimitError
-from .graver import (
-    GraverContainment,
-    check_circuits_in_graver,
-    conforms,
-    graver_basis,
-)
+from .graver import conforms, graver_basis
 from .model import (
     DimensionSystem,
     DimensionalMatrix,
@@ -58,7 +54,6 @@ __all__ = [
     "DimensionSystem",
     "DimensionalMatrix",
     "EquationSystem",
-    "GraverContainment",
     "Invariant",
     "InvariantPair",
     "Problem",
@@ -70,7 +65,6 @@ __all__ = [
     "basis_set_invariants",
     "build_matrix",
     "build_representation",
-    "check_circuits_in_graver",
     "circuit_basis",
     "circuit_invariant",
     "conforms",

@@ -175,6 +175,8 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
     n, r = len(matrix.quantities), matrix.rank
     method, bound = _parse_graver_method(args.graver_method)
 
+    # First, so that an oversized brute-force box fails before any enumeration.
+    graver_pairs = graver.graver_basis(matrix, method, bound=bound, max_n=args.max_n)
     circuit_pairs = enumeration.circuit_basis(matrix, args.max_n)
     systems = [
         enumeration.basis_set_invariants(matrix, b)
@@ -184,37 +186,24 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
     emitted.extend(inv for s in systems for inv in s.invariants)
     emitted.extend(enumeration.unified_basis(matrix, args.max_n))
 
-    results: list[tuple[str, bool, str]] = []
-
-    bad_kernel = [
-        inv.exponents
-        for inv in emitted
-        if any(sum(row[j] * e for j, e in enumerate(inv.exponents)) != 0 for row in rows)
-    ]
-    results.append((
-        "kernel membership",
-        not bad_kernel,
-        f"{len(emitted)} invariants checked" if not bad_kernel else f"violations: {bad_kernel}",
-    ))
-
     # Invariant construction enforces coprimality; re-derive it here anyway.
-    bad_gcd = [
-        inv.exponents
-        for inv in emitted
-        if gcd(*(abs(e) for e in inv.exponents)) != 1
+    bad_kernel, bad_gcd = [], []
+    for inv in emitted:
+        e = inv.exponents
+        if any(sum(row[j] * x for j, x in enumerate(e)) != 0 for row in rows):
+            bad_kernel.append(e)
+        if gcd(*(abs(x) for x in e)) != 1:
+            bad_gcd.append(e)
+    results = [
+        (name, not bad, f"{len(emitted)} invariants checked" if not bad else f"violations: {bad}")
+        for name, bad in (("kernel membership", bad_kernel), ("exponent gcd is 1", bad_gcd))
     ]
-    results.append((
-        "exponent gcd is 1",
-        not bad_gcd,
-        f"{len(emitted)} invariants checked" if not bad_gcd else f"violations: {bad_gcd}",
-    ))
 
     size = len(circuit_pairs)
     upper = comb(n, r + 1)
-    ok_bound = (n - r) <= size <= upper
     results.append((
         "circuit-basis cardinality bound",
-        ok_bound,
+        (n - r) <= size <= upper,
         f"n-r={n - r} <= {size} <= C(n,r+1)={upper}",
     ))
 
@@ -229,16 +218,20 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
         f"{len(union)} of {size} pairs" if not mismatch else f"violations: {mismatch}",
     ))
 
-    report = graver.check_circuits_in_graver(
-        matrix, method, bound=bound, max_n=args.max_n
-    )
+    # brute:<bound> finds exactly the Graver elements with entries in
+    # [-bound, bound], so only the circuits inside that box are looked for.
+    box = "" if bound is None else f" with entries at most {bound}"
+    expected = {
+        p for p in circuit_pairs if bound is None or max(map(abs, p.exponents)) <= bound
+    }
+    missing = sorted(p.exponents for p in expected - graver_pairs)
     results.append((
         "circuit tuples contained in Graver basis",
-        report.contained,
-        f"{len(circuit_set)} circuit tuples, {len(report.non_circuit_witnesses)} "
-        "non-circuit Graver elements"
-        if report.contained
-        else f"missing from Graver basis: {list(report.missing)}",
+        not missing,
+        f"{len(expected)} circuit tuples{box}, "
+        f"{len(graver_pairs - set(circuit_pairs))} non-circuit Graver elements"
+        if not missing
+        else f"missing from Graver basis{box}: {missing}",
     ))
     return results
 

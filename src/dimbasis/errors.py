@@ -8,11 +8,15 @@ DEFAULT_MAX_N = 20
 
 
 class SizeLimitError(Exception):
-    """Raised when a matrix exceeds the configured quantity-count cap."""
+    """Raised when an input exceeds a size cap.
 
-    def __init__(self, n: int, limit: int):
+    ``n`` is the size found and ``limit`` the cap: by default the quantity
+    count of a matrix, otherwise what ``message`` names.
+    """
+
+    def __init__(self, n: int, limit: int, message: str | None = None):
         super().__init__(
-            f"matrix has {n} quantities, exceeding the configured cap of {limit}"
+            message or f"matrix has {n} quantities, exceeding the configured cap of {limit}"
         )
         self.n = n
         self.limit = limit

@@ -1,12 +1,33 @@
 from __future__ import annotations
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from dimbasis import DimensionSystem, DimensionalMatrix, Quantity, build_matrix
+from dimbasis.cli import main
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+# Exit code and stdout of every benchmark CLI case, each written by its own
+# ``python -m dimbasis`` process; keys are "<fixture> <command> <format>" for
+# the fixtures in perfbench/fixtures, and "error <name>" for the error paths.
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+CLI_GOLDEN = json.loads((BENCH_DIR / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def run_main(argv) -> tuple[int, bytes, bytes]:
+    """Run the CLI in-process; returns the exit code, stdout and stderr bytes.
+
+    The streams are strict UTF-8, like a real stdout: unencodable output raises.
+    """
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+                for _ in range(2))
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.buffer.getvalue(), err.buffer.getvalue()
 
 
 def matrix_of(dimensions, quantities) -> DimensionalMatrix:

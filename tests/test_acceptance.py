@@ -22,7 +22,6 @@ import pytest
 from dimbasis import (
     BasisSet,
     basis_set_invariants,
-    check_circuits_in_graver,
     circuit_basis,
     enumerate_basis_sets,
     enumerate_circuit_sets,
@@ -32,11 +31,13 @@ from dimbasis import (
     unified_basis,
 )
 from conftest import (
+    CLI_GOLDEN,
     FIXTURE_DIR,
     falling_body_matrix,
     laminar_matrix,
     matrix_of,
     pipe_matrix,
+    run_main,
     two_body_matrix,
 )
 from oracles import oracle_basis_sets, oracle_circuit_sets
@@ -204,11 +205,10 @@ def test_criterion_5_graver():
         (1, -1, 1),
     }
     fixtures = [pipe_matrix(), laminar_matrix(), falling_body_matrix(), two_body_matrix()]
-    for matrix in fixtures:
-        assert check_circuits_in_graver(matrix).contained
     for matrix in fixtures + [d121]:
         assert len(matrix.quantities) <= 5
         completed = graver_basis(matrix)
+        assert set(circuit_basis(matrix)) <= completed
         brute = graver_basis(matrix, "brute_force", bound=4)
         assert completed == brute
 
@@ -285,13 +285,21 @@ def _run_cli(args: list[str]) -> bytes:
 
 @criterion(7, "byte-identical CLI output across repeated runs, all formats")
 def test_criterion_7_cli_determinism():
+    # Real process pairs on pipe.dim, both commands, every format. The other
+    # fixtures run twice in-process; every output must also equal the
+    # benchmark golden, which a separate process wrote at an earlier commit,
+    # so a difference between processes still shows.
     fixtures = ["pipe.dim", "laminar.dim", "falling_body.dim", "two_body.dim"]
     for filename in fixtures:
         path = str(FIXTURE_DIR / filename)
         for command in ("circuit-basis", "representations"):
             for fmt in ("text", "latex", "json"):
                 args = [command, "--input", path, "--format", fmt]
-                first = _run_cli(args)
-                second = _run_cli(args)
-                assert first == second
+                if filename == "pipe.dim":
+                    first, second = _run_cli(args), _run_cli(args)
+                else:
+                    (code1, first, _), (code2, second, _) = run_main(args), run_main(args)
+                    assert code1 == code2 == 0
+                golden = CLI_GOLDEN[f"{filename} {command} {fmt}"]["stdout"]
+                assert first == second == golden.encode("utf-8")
                 assert first  # nonempty output

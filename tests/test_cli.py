@@ -1,15 +1,13 @@
 from __future__ import annotations
 
-import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dimbasis.cli import main
-from conftest import FIXTURE_DIR
+from conftest import BENCH_DIR, CLI_GOLDEN, FIXTURE_DIR, run_main
 
 PIPE = str(FIXTURE_DIR / "pipe.dim")
 LAMINAR = str(FIXTURE_DIR / "laminar.dim")
@@ -255,10 +253,115 @@ def test_check_violation_exits_3(capsys, monkeypatch):
     assert "violation: forced" in out
 
 
+def test_check_brute_force_compares_circuits_inside_the_box(capsys):
+    # Four of the five pipe-flow circuits have an entry above 1 in absolute
+    # value; brute:1 cannot see them, and that is not a violation.
+    code, out, _ = run(capsys, "check", "--input", PIPE, "--graver-method", "brute:1")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "ok: circuit tuples contained in Graver basis "
+        "(1 circuit tuples with entries at most 1, 0 non-circuit Graver elements)"
+    )
+
+
+@pytest.mark.parametrize("method, box", [
+    ("completion", ""), ("brute:1", " with entries at most 1"),
+])
+def test_check_missing_circuit_exits_3(capsys, monkeypatch, method, box):
+    from dimbasis import graver
+
+    real = graver.graver_basis
+    reynolds = (0, 1, -1, 1, 1)
+    monkeypatch.setattr(graver, "graver_basis", lambda *a, **k: frozenset(
+        p for p in real(*a, **k) if p.exponents != reynolds))
+    code, out, _ = run(capsys, "check", "--input", PIPE, "--graver-method", method)
+    assert code == 3
+    assert out.splitlines()[-1] == (
+        "violation: circuit tuples contained in Graver basis "
+        f"(missing from Graver basis{box}: [{reynolds}])"
+    )
+
+
+def test_check_enumerates_circuits_at_most_twice(capsys, monkeypatch):
+    from dimbasis import enumeration
+
+    calls = []
+    real = enumeration.circuit_basis
+    monkeypatch.setattr(enumeration, "circuit_basis",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    code, _, _ = run(capsys, "check", "--input", PIPE)
+    assert code == 0
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("command", ["graver", "check"])
+def test_oversized_brute_force_box_exits_2(capsys, command):
+    # 17^5 points: over the cap, and only seconds of work if the cap failed.
+    code, out, err = run(capsys, command, "--input", PIPE, "--graver-method", "brute:8")
+    assert code == 2
+    assert out == ""
+    assert err == "error: brute-force box has 17^5 points, exceeding the cap of 1000000\n"
+
+
 def test_text_runs_are_deterministic(capsys):
     first = run(capsys, "unified-basis", "--input", FALLING)
     second = run(capsys, "unified-basis", "--input", FALLING)
     assert first == second
+
+
+# ---------------------------------------------------------- golden replay
+
+
+def golden_argv(key: str, tmp_path) -> list[str]:
+    """The argv of one benchmark CLI case, as perfbench/worker.py builds it.
+
+    The error-path inputs are written under tmp_path with the bytes that the
+    benchmark's ``write_error_inputs`` writes.
+    """
+    fixture = lambda name: str(BENCH_DIR / "fixtures" / name)  # noqa: E731
+    if not key.startswith("error "):
+        name, command, fmt = key.split()
+        return [command, "--input", fixture(name), "--format", fmt]
+    pipe = (BENCH_DIR / "fixtures" / "pipe.dim").read_bytes()
+    contents = {
+        "truncated.dim": pipe[: len(pipe) // 2],
+        "unknown_dimension.dim": json.dumps({
+            "dimensions": ["L", "T"],
+            "quantities": [{"name": "x", "expr": "L X"}],
+        }).encode(),
+        "nested.dim": b"[" * 100_000,
+        "latin1.dim": pipe.replace(b'"mu"', b'"\xb5"'),
+    }
+    for name, data in contents.items():
+        (tmp_path / name).write_bytes(data)
+    written = lambda name: str(tmp_path / name)  # noqa: E731
+    return {
+        "error truncated-json": ["rank", "--input", written("truncated.dim")],
+        "error unknown-dimension": ["rank", "--input", written("unknown_dimension.dim")],
+        "error max-n-below-n": ["basis-sets", "--input", fixture("pipe.dim"), "--max-n", "3"],
+        "error bad-graver-method":
+            ["graver", "--input", fixture("pipe.dim"), "--graver-method", "fast"],
+        "error nested-brackets": ["rank", "--input", written("nested.dim")],
+        "error non-utf8": ["rank", "--input", written("latin1.dim")],
+    }[key]
+
+
+@pytest.mark.parametrize("key", sorted(CLI_GOLDEN))
+def test_cli_golden_replay(key, tmp_path):
+    """Byte-identical stdout and exit code on every benchmark CLI case.
+
+    stderr is held to the benchmark's rule: empty on exit 0, otherwise
+    exactly one ``error:`` line.
+    """
+    golden = CLI_GOLDEN[key]
+    code, out, err = run_main(golden_argv(key, tmp_path))
+    assert code == golden["exit"]
+    assert out == golden["stdout"].encode("utf-8")
+    lines = err.decode("utf-8", "replace").splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 # --------------------------------------------------------------- fuzzing
@@ -356,13 +459,8 @@ def check_contract(path, data: bytes, command: str, fmt: str) -> None:
     argv = [command, "--input", str(path), "--format", fmt, "--max-n", "5"]
     if command in ("graver", "check"):
         argv += ["--graver-method", "brute:1"]
-    # Strict UTF-8 streams, like a real stdout: unencodable output raises.
-    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
-                for _ in range(2))
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    stdout = out.buffer.getvalue().decode("utf-8")
-    stderr = err.buffer.getvalue().decode("utf-8")
+    code, stdout, stderr = run_main(argv)
+    stdout, stderr = stdout.decode("utf-8"), stderr.decode("utf-8")
     assert code in (0, 1, 2, 3)
     if code in (1, 2):
         assert stdout == ""

@@ -4,13 +4,7 @@ import random
 
 import pytest
 
-from dimbasis import (
-    SizeLimitError,
-    check_circuits_in_graver,
-    circuit_basis,
-    conforms,
-    graver_basis,
-)
+from dimbasis import SizeLimitError, circuit_basis, conforms, graver_basis
 from conftest import matrix_of
 
 
@@ -72,21 +66,19 @@ def test_graver_elements_are_pairwise_minimal_kernel_vectors(falling_body):
 
 
 def test_check_reports_non_circuit_witnesses():
-    report = check_circuits_in_graver(single_row(1, 2, 1))
-    assert report.contained
-    assert report.missing == ()
-    assert report.non_circuit_witnesses == ((1, -1, 1),)
+    matrix = single_row(1, 2, 1)
+    circuits, elements = set(circuit_basis(matrix)), graver_basis(matrix)
+    assert circuits <= elements
+    assert [p.exponents for p in elements - circuits] == [(1, -1, 1)]
 
 
 def test_check_trivial_case_has_no_witnesses():
-    report = check_circuits_in_graver(single_row(1, -1))
-    assert report.contained
-    assert report.non_circuit_witnesses == ()
+    matrix = single_row(1, -1)
+    assert set(circuit_basis(matrix)) == graver_basis(matrix)
 
 
 def test_check_falling_body_with_completion(falling_body):
-    report = check_circuits_in_graver(falling_body)
-    assert report.contained
+    assert set(circuit_basis(falling_body)) <= graver_basis(falling_body)
 
 
 def test_graver_method_validation(pipe):
@@ -98,6 +90,17 @@ def test_graver_method_validation(pipe):
         graver_basis(pipe, "newton")
     with pytest.raises(SizeLimitError):
         graver_basis(pipe, max_n=3)
+
+
+def test_brute_force_box_cap(pipe, monkeypatch):
+    with pytest.raises(SizeLimitError, match=r"^brute-force box has 2001\^5 points, "
+                       r"exceeding the cap of 1000000$"):
+        graver_basis(pipe, "brute_force", bound=1000)
+    # The cap is inclusive: a box of exactly MAX_BOX_POINTS points still runs.
+    monkeypatch.setattr("dimbasis.graver.MAX_BOX_POINTS", 3**5)
+    assert graver_basis(pipe, "brute_force", bound=1)
+    with pytest.raises(SizeLimitError):
+        graver_basis(pipe, "brute_force", bound=2)
 
 
 def test_graver_of_saturation_sensitive_matrix():
