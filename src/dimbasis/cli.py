@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import enumeration, graver, render, representations
 from .errors import DEFAULT_MAX_N, SizeLimitError
-from .model import DimensionalMatrix
+from .model import DimensionalMatrix, InvariantPair
 from .problem import Problem, ProblemParseError, parse_problem
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,16 +175,17 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
     n, r = len(matrix.quantities), matrix.rank
     method, bound = _parse_graver_method(args.graver_method)
 
-    # First, so that an oversized brute-force box fails before any enumeration.
+    # The unified basis is the canonical circuit basis: one circuit scan, first,
+    # so an input over the subset cap fails before the uncapped Graver completion.
+    unified = enumeration.unified_basis(matrix, args.max_n)
+    circuit_pairs = {InvariantPair(inv) for inv in unified}
     graver_pairs = graver.graver_basis(matrix, method, bound=bound, max_n=args.max_n)
-    circuit_pairs = enumeration.circuit_basis(matrix, args.max_n)
     systems = [
         enumeration.basis_set_invariants(matrix, b)
         for b in enumeration.enumerate_basis_sets(matrix, args.max_n)
     ]
-    emitted = [p.canonical for p in circuit_pairs]
-    emitted.extend(inv for s in systems for inv in s.invariants)
-    emitted.extend(enumeration.unified_basis(matrix, args.max_n))
+    # Counted as emitted: the circuit basis, the basis-set reductions, the unified basis.
+    emitted = [*unified, *(inv for s in systems for inv in s.invariants), *unified]
 
     # Invariant construction enforces coprimality; re-derive it here anyway.
     bad_kernel, bad_gcd = [], []
@@ -199,7 +200,7 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
         for name, bad in (("kernel membership", bad_kernel), ("exponent gcd is 1", bad_gcd))
     ]
 
-    size = len(circuit_pairs)
+    size = len(unified)
     upper = comb(n, r + 1)
     results.append((
         "circuit-basis cardinality bound",
@@ -209,9 +210,8 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
 
     # The unified basis is computed from the circuits; check the theorem
     # behind that against its definition, the union over the basis sets.
-    circuit_set = {p.exponents for p in circuit_pairs}
     union = {inv.canonical().exponents for s in systems for inv in s.invariants}
-    mismatch = sorted(union ^ circuit_set)
+    mismatch = sorted(union ^ {inv.exponents for inv in unified})
     results.append((
         "unified basis contained in circuit basis",
         not mismatch,
@@ -229,7 +229,7 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
         "circuit tuples contained in Graver basis",
         not missing,
         f"{len(expected)} circuit tuples{box}, "
-        f"{len(graver_pairs - set(circuit_pairs))} non-circuit Graver elements"
+        f"{len(graver_pairs - circuit_pairs)} non-circuit Graver elements"
         if not missing
         else f"missing from Graver basis{box}: {missing}",
     ))

@@ -5,10 +5,10 @@ Terminology, with the quantity columns of a dimensional matrix as ground set:
 * basis set: a maximal independent set of columns (size = rank). These are
   the admissible "repeating variable" choices.
 * circuit set: a minimal dependent set; every proper subset is independent.
-  A column subset is a circuit exactly when its rank is one less than its
-  size and the (then one-dimensional) kernel has no zero entry.
-* circuit invariant: the primitive kernel vector supported on a circuit set,
-  unique up to sign, stored as an :class:`~dimbasis.model.InvariantPair`.
+  A column subset is a circuit exactly when it carries a fully supported
+  kernel line: a one-dimensional kernel (so rank |S| - 1) with no zero entry.
+* circuit invariant: that line as a primitive integer vector over all
+  quantities, unique up to sign, stored as an :class:`~dimbasis.model.InvariantPair`.
 * circuit basis: all circuit invariant pairs of the matrix.
 * unified basis: the union over all basis sets of their reduced invariants,
   deduplicated at pair level. As a set of pairs it equals the circuit basis:
@@ -18,19 +18,27 @@ Terminology, with the quantity columns of a dimensional matrix as ground set:
   therefore computed from the circuits.
 
 Enumeration is exhaustive over column subsets and therefore intended for
-desk-scale matrices; inputs are capped by ``max_n``. All outputs are in
-deterministic lexicographic order.
+desk-scale matrices; inputs are capped by ``max_n`` and, before a stage starts,
+by the subsets it will visit: C(n, r) for the basis sets and C(n, 1) + ... +
+C(n, r + 1) for the circuit scan. All outputs are in deterministic
+lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import DEFAULT_MAX_N, SizeLimitError
 from .model import DimensionalMatrix, Invariant, InvariantPair
+
+# A subset costs one Fraction elimination, 0.55 ms in the rank-6 scan on 20
+# quantities (75 s for 137,979 subsets, Python 3.11) and more at higher rank, so
+# a stage refused within DEFAULT_MAX_N would have run over a minute.
+_MAX_SUBSETS = 120_000
 
 
 @dataclass(frozen=True)
@@ -74,32 +82,46 @@ class BasisSetSystem:
     invariants: tuple[Invariant, ...]
 
 
-def _check_size(matrix: DimensionalMatrix, max_n: int) -> None:
+def _check_size(matrix: DimensionalMatrix, max_n: int, subsets: int, stage: str) -> None:
     n = len(matrix.quantities)
     if n > max_n:
         raise SizeLimitError(n, max_n)
+    if subsets > _MAX_SUBSETS:
+        raise SizeLimitError(subsets, _MAX_SUBSETS, f"{stage} would visit {subsets} column "
+                             f"subsets, exceeding the cap of {_MAX_SUBSETS}")
+
+
+def _subset_rows(matrix: DimensionalMatrix, subset: Sequence[int]) -> tuple:
+    """The rows of the chosen columns; each index must name a quantity."""
+    n = len(matrix.quantities)
+    for j in subset:
+        if not 0 <= j < n:
+            raise ValueError(f"quantity index {j} out of range for {n} quantities")
+    cols = matrix.columns
+    return tuple(tuple(cols[j][i] for j in subset) for i in range(matrix.system.size))
 
 
 def _subset_rank(matrix: DimensionalMatrix, subset: Sequence[int]) -> int:
-    if not subset:
-        return 0
-    m = matrix.system.size
-    cols = matrix.columns
-    rows = tuple(tuple(cols[j][i] for j in subset) for i in range(m))
-    return linalg.rank(rows)
+    rows = _subset_rows(matrix, subset)
+    return linalg.rank(rows) if subset else 0
 
 
-def _subset_kernel_vector(
-    matrix: DimensionalMatrix, subset: Sequence[int]
-) -> tuple | None:
-    """The kernel vector of the chosen columns if it is one-dimensional."""
-    m = matrix.system.size
-    cols = matrix.columns
-    rows = tuple(tuple(cols[j][i] for j in subset) for i in range(m))
-    basis = linalg.kernel_basis(rows)
-    if len(basis.vectors) != 1:
+def _circuit_line(matrix: DimensionalMatrix, subset: Sequence[int]) -> tuple[int, ...] | None:
+    """The subset's fully supported kernel line over all n quantities, primitive.
+
+    None exactly when the subset is not a circuit set.
+    """
+    subset = tuple(subset)
+    rows = _subset_rows(matrix, subset)
+    if not subset or len(set(subset)) != len(subset):
         return None
-    return basis.vectors[0]
+    kernel = linalg.kernel_basis(rows).vectors
+    if len(kernel) != 1 or not all(kernel[0]):
+        return None
+    line = [0] * len(matrix.quantities)
+    for j, x in zip(subset, linalg.scale_to_primitive(kernel[0])):
+        line[j] = x
+    return tuple(line)
 
 
 def enumerate_basis_sets(
@@ -110,9 +132,9 @@ def enumerate_basis_sets(
     With rank 0 the single empty basis set is returned: every quantity is
     then dimensionless on its own.
     """
-    _check_size(matrix, max_n)
     n = len(matrix.quantities)
     r = matrix.rank
+    _check_size(matrix, max_n, comb(n, r), "basis-set enumeration")
     return [
         BasisSet(subset)
         for subset in combinations(range(n), r)
@@ -121,14 +143,11 @@ def enumerate_basis_sets(
 
 
 def is_circuit_set(matrix: DimensionalMatrix, subset: Sequence[int]) -> bool:
-    """Minimal-dependence test: rank |S|-1 and a fully supported kernel line."""
-    subset = tuple(sorted(subset))
-    if not subset or len(set(subset)) != len(subset):
-        return False
-    if _subset_rank(matrix, subset) != len(subset) - 1:
-        return False
-    vector = _subset_kernel_vector(matrix, subset)
-    return vector is not None and all(x != 0 for x in vector)
+    """Minimal-dependence test: the columns carry a fully supported kernel line.
+
+    Raises ValueError for an index that names no quantity.
+    """
+    return _circuit_line(matrix, subset) is not None
 
 
 def enumerate_circuit_sets(
@@ -139,8 +158,10 @@ def enumerate_circuit_sets(
     Circuits never have more than rank+1 members, so only subsets up to that
     size are examined.
     """
-    _check_size(matrix, max_n)
     n = len(matrix.quantities)
+    _check_size(
+        matrix, max_n, sum(comb(n, k) for k in range(1, matrix.rank + 2)), "circuit scan"
+    )
     found = [
         CircuitSet(subset)
         for size in range(1, matrix.rank + 2)
@@ -151,19 +172,11 @@ def enumerate_circuit_sets(
 
 
 def circuit_invariant(matrix: DimensionalMatrix, circuit: CircuitSet) -> InvariantPair:
-    """The invariant pair supported exactly on a circuit set."""
-    subset = circuit.indices
-    if _subset_rank(matrix, subset) != len(subset) - 1:
-        raise ValueError(f"{subset} is not a circuit set of this matrix")
-    vector = _subset_kernel_vector(matrix, subset)
-    if vector is None or any(x == 0 for x in vector):
-        raise ValueError(f"{subset} is not a circuit set of this matrix")
-    n = len(matrix.quantities)
-    full = [0] * n
-    primitive = linalg.primitive_scale(vector)
-    for k, j in enumerate(subset):
-        full[j] = primitive[k]
-    return InvariantPair(Invariant(tuple(full)))
+    """The invariant pair of a circuit set: its fully supported kernel line."""
+    line = _circuit_line(matrix, circuit.indices)
+    if line is None:
+        raise ValueError(f"{circuit.indices} is not a circuit set of this matrix")
+    return InvariantPair(Invariant(line))
 
 
 def circuit_basis(

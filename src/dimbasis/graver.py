@@ -68,29 +68,23 @@ def _minimal_elements(vectors: Iterable[Vector]) -> set[Vector]:
 
 
 def _completion(rows: Sequence[Sequence[int]]) -> set[Vector]:
-    basis = [v for v in linalg.integer_kernel_basis(rows) if any(v)]
+    # No generator is added twice: the lattice basis is nonzero and independent,
+    # and a nonzero normal form is no generator, since each reduces itself.
     generators: list[Vector] = []
-    members: set[Vector] = set()
     queue: deque[Vector] = deque()
 
-    def add(vector: Vector) -> None:
-        queue.extend(tuple(a + b for a, b in zip(vector, g)) for g in generators)
-        generators.append(vector)
-        members.add(vector)
+    def add_pair(vector: Vector) -> None:
+        for v in (vector, tuple(-x for x in vector)):
+            queue.extend(tuple(a + b for a, b in zip(v, g)) for g in generators)
+            generators.append(v)
 
-    for b in basis:
-        for v in (b, tuple(-x for x in b)):
-            if v not in members:
-                add(v)
+    for b in linalg.integer_kernel_basis(rows):
+        add_pair(b)
     while queue:
         s = _normal_form(queue.popleft(), generators)
-        if not any(s) or s in members:
-            continue
-        add(s)
-        t = tuple(-x for x in s)
-        if t not in members:
-            add(t)
-    return _minimal_elements(members)
+        if any(s):
+            add_pair(s)
+    return _minimal_elements(generators)
 
 
 def _brute_force(rows: Sequence[Sequence[int]], bound: int) -> set[Vector]:

@@ -4,6 +4,8 @@ Everything here computes with ``fractions.Fraction`` (or plain ints), so
 results are exact; floating point never enters. A matrix is a sequence of
 rows, each row a sequence of integers. Elimination picks the first nonzero
 entry in each column as pivot, which makes every result deterministic.
+The one elimination core is :func:`_echelon` plus, in :func:`_kernel`, one
+back-substitution per free column; systems are solved through that kernel.
 """
 
 from __future__ import annotations
@@ -65,33 +67,14 @@ def _echelon(rows: Sequence[Sequence[int | Fraction]]):
     return work, pivot_cols
 
 
-def _back_substitute(work, pivots: Sequence[int], x: list[Fraction]) -> list[Fraction]:
-    """Fill the pivot entries of *x* so that ``work @ x == 0``.
-
-    *work* and *pivots* come from :func:`_echelon`; the non-pivot entries of
-    *x* are fixed by the caller and left as they are.
-    """
-    n = len(x)
-    for k in reversed(range(len(pivots))):
-        c = pivots[k]
-        s = sum((work[k][j] * x[j] for j in range(c + 1, n)), Fraction(0))
-        x[c] = -s / work[k][c]
-    return x
-
-
 def rank(matrix: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix over the rationals."""
     rows = validate_matrix(matrix)
     return len(_echelon(rows)[1])
 
 
-def kernel_basis(matrix: Sequence[Sequence[int]]) -> KernelBasis:
-    """Basis of the rational kernel {c : matrix @ c = 0}.
-
-    Returns one vector per non-pivot (free) column, in free-column order.
-    For a full-column-rank matrix the vector tuple is empty.
-    """
-    rows = validate_matrix(matrix)
+def _kernel(rows: Sequence[Sequence[int | Fraction]]) -> KernelBasis:
+    """:func:`kernel_basis` without validation, so entries may be Fractions."""
     work, pivot_cols = _echelon(rows)
     n = len(rows[0])
     pivot_set = set(pivot_cols)
@@ -100,8 +83,21 @@ def kernel_basis(matrix: Sequence[Sequence[int]]) -> KernelBasis:
     for f in free_cols:
         x = [Fraction(0)] * n
         x[f] = Fraction(1)
-        vectors.append(tuple(_back_substitute(work, pivot_cols, x)))
+        for k in reversed(range(len(pivot_cols))):
+            c = pivot_cols[k]
+            s = sum((work[k][j] * x[j] for j in range(c + 1, n)), Fraction(0))
+            x[c] = -s / work[k][c]
+        vectors.append(tuple(x))
     return KernelBasis(tuple(vectors), free_cols, tuple(pivot_cols))
+
+
+def kernel_basis(matrix: Sequence[Sequence[int]]) -> KernelBasis:
+    """Basis of the rational kernel {c : matrix @ c = 0}.
+
+    Returns one vector per non-pivot (free) column, in free-column order.
+    For a full-column-rank matrix the vector tuple is empty.
+    """
+    return _kernel(validate_matrix(matrix))
 
 
 def scale_to_primitive(vector: Sequence[int | Fraction]) -> tuple[int, ...]:
@@ -171,19 +167,18 @@ def express_in_span(
 ) -> tuple[Fraction, ...] | None:
     """Solve sum(x_i * vectors[i]) == target for linearly independent vectors.
 
-    Returns None when the target is outside the span.
+    Returns None when the target is outside the span: a pivot in the last
+    column of ``[vectors | -target]``. Otherwise that matrix has one kernel
+    vector, 1 in the last column, and the coefficients are its other entries.
     """
-    if not vectors:
-        return () if all(Fraction(t) == 0 for t in target) else None
     k = len(vectors)
-    augmented = [[vector[j] for vector in vectors] + [t] for j, t in enumerate(target)]
-    work, pivots = _echelon(augmented)
-    if any(p == k for p in pivots):
+    augmented = [[vector[j] for vector in vectors] + [-t] for j, t in enumerate(target)]
+    kernel = _kernel(augmented)
+    if k in kernel.pivot_columns:
         return None
-    if len(pivots) != k:
+    if len(kernel.vectors) != 1:
         raise ValueError("vectors are not linearly independent")
-    x = [Fraction(0)] * k + [Fraction(-1)]
-    return tuple(_back_substitute(work, pivots, x)[:k])
+    return kernel.vectors[0][:k]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

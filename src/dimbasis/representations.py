@@ -89,20 +89,15 @@ def build_representation(
     function_name: str = "Phi",
 ) -> Representation:
     """Build the representation of the relation attached to one basis set."""
+    _check_roles(matrix, dependent, ())
     if dependent in basis:
         raise ValueError("the basis set must not contain the dependent quantity")
     system = basis_set_invariants(matrix, basis)
 
-    dep_invariant: Invariant | None = None
-    actives: list[Invariant] = []
-    for invariant in system.invariants:
-        # Each reduced invariant is keyed by its single non-basis quantity.
-        owner = next(j for j in invariant.support if j not in basis)
-        if owner == dependent:
-            dep_invariant = invariant
-        else:
-            actives.append(invariant)
-    assert dep_invariant is not None
+    # The reduced invariants come one per non-basis quantity, in quantity order.
+    owners = [j for j in range(len(matrix.quantities)) if j not in basis]
+    dep_invariant = system.invariants[owners.index(dependent)]
+    actives = [inv for j, inv in zip(owners, system.invariants) if j != dependent]
     b = dep_invariant.exponents[dependent]
     scaling = tuple(
         (j, Fraction(-dep_invariant.exponents[j], b))

@@ -222,6 +222,47 @@ def test_size_cap_exits_2(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command, stage, subsets", [
+    ("basis-sets", "basis-set enumeration", 184756),
+    ("representations", "basis-set enumeration", 184756),
+    ("circuits", "circuit scan", 784625),
+    ("circuit-basis", "circuit scan", 784625),
+    ("unified-basis", "circuit scan", 784625),
+    ("check", "circuit scan", 784625),
+])
+def test_subset_cap_exits_2(capsys, monkeypatch, tmp_path, command, stage, subsets):
+    from dimbasis import cli, enumeration, linalg
+
+    # Rank 10 on 20 quantities, whose enumeration would run for many minutes;
+    # with the eliminations disabled after parsing, one the cap failed to stop
+    # raises at once instead.
+    dims = [f"D{i}" for i in range(10)]
+    quantities = [
+        {"name": f"q{j}", "expr": dims[j % 10] + (f" {dims[(j + 1) % 10]}" if j >= 10 else "")}
+        for j in range(20)
+    ]
+    path = tmp_path / "rank10.dim"
+    path.write_text(json.dumps({"dimensions": dims, "quantities": quantities, "dependent": "q0"}))
+    real_parse = cli.parse_problem
+
+    def no_elimination(rows):
+        raise AssertionError("enumerated an input over the subset cap")
+
+    def parse_then_disable(text):
+        problem = real_parse(text)
+        monkeypatch.setattr(linalg, "rank", no_elimination)
+        monkeypatch.setattr(linalg, "kernel_basis", no_elimination)
+        return problem
+
+    monkeypatch.setattr(cli, "parse_problem", parse_then_disable)
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    cap = enumeration._MAX_SUBSETS
+    assert err == (
+        f"error: {stage} would visit {subsets} column subsets, exceeding the cap of {cap}\n"
+    )
+
+
 def test_bad_graver_method_exits_1(capsys):
     code, _, err = run(capsys, "graver", "--input", PIPE, "--graver-method", "brute:zero")
     assert code == 1
@@ -282,7 +323,7 @@ def test_check_missing_circuit_exits_3(capsys, monkeypatch, method, box):
     )
 
 
-def test_check_enumerates_circuits_at_most_twice(capsys, monkeypatch):
+def test_check_enumerates_circuits_once(capsys, monkeypatch):
     from dimbasis import enumeration
 
     calls = []
@@ -291,7 +332,7 @@ def test_check_enumerates_circuits_at_most_twice(capsys, monkeypatch):
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     code, _, _ = run(capsys, "check", "--input", PIPE)
     assert code == 0
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["graver", "check"])

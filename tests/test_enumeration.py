@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,10 @@ from dimbasis import (
     circuit_invariant,
     enumerate_basis_sets,
     enumerate_circuit_sets,
+    is_circuit_set,
     unified_basis,
 )
+from dimbasis import enumeration, linalg
 from conftest import matrix_of
 from oracles import oracle_basis_sets, oracle_circuit_sets, oracle_unified_basis
 
@@ -90,6 +93,37 @@ def test_circuit_invariant_rejects_non_circuit(pipe):
         circuit_invariant(pipe, CircuitSet((1, 2, 3)))  # independent set
     with pytest.raises(ValueError):
         circuit_invariant(pipe, CircuitSet((0, 1, 2, 3, 4)))  # not minimal
+
+
+@pytest.mark.parametrize("subset", [(-4, -3, -2, -1), (1, 2, 3, 9), (5,)])
+def test_circuit_test_rejects_indices_outside_the_quantities(pipe, subset):
+    # Negative indices used to alias columns counted from the end, so the
+    # first subset passed as the Reynolds circuit; 9 raised IndexError.
+    bad = next(j for j in subset if not 0 <= j < 5)
+    message = f"quantity index {bad} out of range for 5 quantities"
+    with pytest.raises(ValueError, match=message):
+        is_circuit_set(pipe, subset)
+    with pytest.raises(ValueError, match=message):
+        circuit_invariant(pipe, CircuitSet(subset))
+
+
+def test_basis_set_invariants_rejects_indices_outside_the_quantities(pipe):
+    with pytest.raises(ValueError, match="quantity index 9 out of range for 5 quantities"):
+        basis_set_invariants(pipe, BasisSet((1, 2, 9)))
+
+
+def test_circuit_test_runs_one_elimination_and_no_rank(pipe, monkeypatch):
+    calls = []
+    for name in ("rank", "kernel_basis"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda rows, name=name, real=real: calls.append(name) or real(rows))
+    subsets = [s for k in range(1, 6) for s in combinations(range(5), k)]
+    circuits = [s for s in subsets if is_circuit_set(pipe, s)]
+    for circuit in circuits:
+        circuit_invariant(pipe, CircuitSet(circuit))
+    assert len(circuits) == 5
+    assert calls == ["kernel_basis"] * (len(subsets) + len(circuits))
 
 
 def test_pipe_circuit_basis_exact_set(pipe):
@@ -204,6 +238,30 @@ def test_unified_basis_matches_per_basis_set_union(matrix):
     assert unified_basis(matrix) == oracle_unified_basis(matrix)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_circuit_scan_and_test_match_oracle(matrix):
+    expected = oracle_circuit_sets(matrix)
+    assert [c.indices for c in enumerate_circuit_sets(matrix)] == expected
+    n = len(matrix.quantities)
+    found = [s for k in range(1, n + 1) for s in combinations(range(n), k)
+             if is_circuit_set(matrix, s)]
+    assert sorted(found) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_circuit_basis_pairs_lie_on_their_circuits(matrix):
+    circuits = enumerate_circuit_sets(matrix)
+    pairs = circuit_basis(matrix)
+    assert len(pairs) == len(circuits)
+    for pair, circuit in zip(pairs, circuits):
+        e = pair.exponents
+        assert math.gcd(*e) == 1
+        assert all(sum(a * x for a, x in zip(row, e)) == 0 for row in matrix.rows)
+        assert pair.canonical.support == set(circuit.indices)
+
+
 # -------------------------------------------------------------- properties
 
 
@@ -256,6 +314,22 @@ def test_duplicate_columns_give_two_element_circuit():
     matrix = matrix_of(("L", "T"), (("a", (1, -1)), ("b", (1, -1)), ("c", (0, 1))))
     circuits = [c.indices for c in enumerate_circuit_sets(matrix)]
     assert (0, 1) in circuits
+
+
+def test_subset_cap_is_inclusive(pipe, monkeypatch):
+    # The pipe scan visits 5 + 10 + 10 + 5 = 30 subsets, its basis sets C(5, 3) = 10.
+    monkeypatch.setattr(enumeration, "_MAX_SUBSETS", 30)
+    assert len(enumerate_circuit_sets(pipe)) == 5
+    monkeypatch.setattr(enumeration, "_MAX_SUBSETS", 29)
+    assert len(enumerate_basis_sets(pipe)) == 10
+    with pytest.raises(SizeLimitError, match="30 column subsets, exceeding the cap of 29"):
+        enumerate_circuit_sets(pipe)
+
+
+def test_largest_checked_inputs_are_under_the_subset_cap():
+    # The ROADMAP cardinality rung 4 x 12 scans 1,585 subsets; a rank-6
+    # 20-quantity scan (137,979 subsets) is the smallest refused at n <= 20.
+    assert 1585 <= enumeration._MAX_SUBSETS < 137979
 
 
 def test_size_cap_enforced(pipe):

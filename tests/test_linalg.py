@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimbasis import linalg
@@ -212,6 +212,42 @@ def test_express_in_span_hits_and_misses():
 def test_express_in_span_empty_generators():
     assert linalg.express_in_span([], (0, 0)) == ()
     assert linalg.express_in_span([], (1, 0)) is None
+
+
+def test_express_in_span_accepts_fractions():
+    vectors = [(F(1, 2), 0), (0, F(1, 3))]
+    assert linalg.express_in_span(vectors, (1, F(2, 3))) == (2, 2)
+
+
+@st.composite
+def independent_vectors(draw):
+    """Up to 5 vectors of dimension up to 5, independent by the minor oracle."""
+    dim = draw(st.integers(1, 5))
+    k = draw(st.integers(0, dim))
+    vector = st.tuples(*[st.integers(-3, 3)] * dim)
+    vectors = draw(st.lists(vector, min_size=k, max_size=k))
+    assume(oracle_rank(vectors) == k)
+    return vectors, dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(independent_vectors(), st.data())
+def test_express_in_span_differential(case, data):
+    vectors, dim = case
+    k = len(vectors)
+    coefficients = data.draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    target = tuple(sum(c * v[i] for c, v in zip(coefficients, vectors)) for i in range(dim))
+    assert linalg.express_in_span(vectors, target) == tuple(coefficients)
+    # A unit vector that raises the rank moves the target off the span.
+    units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    for unit in units:
+        if oracle_rank(vectors + [unit]) == k + 1:
+            off = tuple(t + u for t, u in zip(target, unit))
+            assert linalg.express_in_span(vectors, off) is None
+            break
+    # Appending the target makes the vectors dependent.
+    with pytest.raises(ValueError, match="not linearly independent"):
+        linalg.express_in_span(vectors + [target], target)
 
 
 # ---------------------------------------------------------------- integer kernel lattice

@@ -73,6 +73,13 @@ def test_build_rejects_basis_containing_dependent(pipe):
         build_representation(pipe, 0, BasisSet((0, 1, 2)))
 
 
+@pytest.mark.parametrize("dependent", [7, -1])
+def test_build_rejects_dependent_outside_the_quantities(pipe, dependent):
+    # Both used to end in a bare AssertionError.
+    with pytest.raises(ValueError, match=f"dependent index {dependent} out of range for 5"):
+        build_representation(pipe, dependent, BasisSet((1, 2, 3)))
+
+
 # ---------------------------------------------------------------- systems
 
 
