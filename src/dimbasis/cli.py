@@ -19,8 +19,16 @@ from .errors import DEFAULT_MAX_N, SizeLimitError
 from .model import DimensionalMatrix, InvariantPair
 from .problem import Problem, ProblemParseError, parse_problem
 
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that :func:`main` prints them as one ``error:`` line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dimbasis",
         description="Exact-arithmetic dimensional analysis: enumerate basis sets, "
         "minimal invariants and representations of a dimensional matrix.",
@@ -62,12 +70,9 @@ def _parse_graver_method(text: str) -> tuple[str, int | None]:
         return "completion", None
     if text.startswith("brute:"):
         try:
-            bound = int(text.split(":", 1)[1])
+            return "brute_force", int(text.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad brute-force bound in {text!r}") from None
-        if bound < 1:
-            raise ValueError("brute-force bound must be at least 1")
-        return "brute_force", bound
     raise ValueError(f"unknown Graver method {text!r} (use completion or brute:<bound>)")
 
 
@@ -147,14 +152,10 @@ def _cmd_representations(problem: Problem, args) -> _Output:
         )
     excluded = problem.excluded
     if args.exclude is not None:
-        names = [x for x in args.exclude.split(",") if x]
         try:
-            excluded = tuple(matrix.index_of(x) for x in names)
+            excluded = tuple(matrix.index_of(x) for x in args.exclude.split(",") if x)
         except KeyError as e:
             raise ValueError(f"unknown excluded quantity {e.args[0]!r}") from None
-        for k, name in enumerate(names):
-            if name in names[:k]:
-                raise ValueError(f"duplicate excluded quantity {name!r}")
     system = representations.equation_system(matrix, dependent, excluded, args.max_n)
     return _Output(
         lambda: {
@@ -175,11 +176,15 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
     n, r = len(matrix.quantities), matrix.rank
     method, bound = _parse_graver_method(args.graver_method)
 
-    # The unified basis is the canonical circuit basis: one circuit scan, first,
-    # so an input over the subset cap fails before the uncapped Graver completion.
+    # Every capped stage is charged before any starts, so an input over the
+    # subset cap fails before the uncapped Graver completion.
+    enumeration._check_size(
+        matrix, args.max_n, "circuit scan", "basis-set enumeration", "basis-set reductions"
+    )
+    graver_pairs = graver.graver_basis(matrix, method, bound=bound, max_n=args.max_n)
+    # The unified basis is the canonical circuit basis: one circuit scan.
     unified = enumeration.unified_basis(matrix, args.max_n)
     circuit_pairs = {InvariantPair(inv) for inv in unified}
-    graver_pairs = graver.graver_basis(matrix, method, bound=bound, max_n=args.max_n)
     systems = [
         enumeration.basis_set_invariants(matrix, b)
         for b in enumeration.enumerate_basis_sets(matrix, args.max_n)
@@ -263,27 +268,20 @@ _COMMANDS: dict[str, Callable[[Problem, argparse.Namespace], _Output]] = {
 }
 
 
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ValueError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"cannot read {path}: not UTF-8 (byte {e.start})") from None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     out, err = sys.stdout, sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits on --help (code 0) and usage errors; fold the latter
-        # into the input-error exit code.
-        return 0 if e.code in (0, None) else 1
-
-    try:
-        text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as e:
-        print(f"error: cannot read {args.input}: {e.strerror}", file=err)
-        return 1
-    except UnicodeDecodeError as e:
-        print(f"error: cannot read {args.input}: not UTF-8 (byte {e.start})", file=err)
-        return 1
-
-    try:
-        problem = parse_problem(text)
+        args = build_parser().parse_args(argv)
+        problem = parse_problem(_read_input(args.input))
         matrix = problem.matrix
         result = _COMMANDS[args.command](problem, args)
         if result.warning:
@@ -300,6 +298,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(line, file=out)
         # ``check`` is the only subcommand whose result can fail.
         return 0 if result.ok else 3
+    except SystemExit:
+        # Only --help exits: _Parser raises usage errors as ValueError.
+        return 0
     except SizeLimitError as e:
         print(f"error: {e}", file=err)
         return 2

@@ -19,9 +19,10 @@ Terminology, with the quantity columns of a dimensional matrix as ground set:
 
 Enumeration is exhaustive over column subsets and therefore intended for
 desk-scale matrices; inputs are capped by ``max_n`` and, before a stage starts,
-by the subsets it will visit: C(n, r) for the basis sets and C(n, 1) + ... +
-C(n, r + 1) for the circuit scan. All outputs are in deterministic
-lexicographic order.
+by the eliminations it will run: C(n, r) subsets for the basis sets, C(n, 1) +
+... + C(n, r + 1) for the circuit scan, and C(n, r) * (n - r + 1) for the
+basis-set reductions of ``representations`` and ``check``. All outputs are in
+deterministic lexicographic order.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from . import linalg
-from .errors import DEFAULT_MAX_N, SizeLimitError
+from .errors import DEFAULT_MAX_N, SizeLimitError, check_max_n
 from .model import DimensionalMatrix, Invariant, InvariantPair
 
 # A subset costs one Fraction elimination, 0.55 ms in the rank-6 scan on 20
@@ -82,13 +83,26 @@ class BasisSetSystem:
     invariants: tuple[Invariant, ...]
 
 
-def _check_size(matrix: DimensionalMatrix, max_n: int, subsets: int, stage: str) -> None:
-    n = len(matrix.quantities)
-    if n > max_n:
-        raise SizeLimitError(n, max_n)
-    if subsets > _MAX_SUBSETS:
-        raise SizeLimitError(subsets, _MAX_SUBSETS, f"{stage} would visit {subsets} column "
-                             f"subsets, exceeding the cap of {_MAX_SUBSETS}")
+def _check_size(matrix: DimensionalMatrix, max_n: int, *stages: str) -> None:
+    """Refuse the input before any of ``stages`` starts.
+
+    Each stage is charged its eliminations: one per subset, and for the
+    reductions n - r + 1 per basis subset (the basis test, then one solve
+    per non-basis quantity).
+    """
+    n, r = len(matrix.quantities), matrix.rank
+    check_max_n(n, max_n)
+    costs = {
+        "basis-set enumeration": (comb(n, r), "visit {} column subsets"),
+        "circuit scan": (sum(comb(n, k) for k in range(1, r + 2)), "visit {} column subsets"),
+        "basis-set reductions": (comb(n, r) * (n - r + 1), "run {} eliminations"),
+    }
+    for stage in stages:
+        cost, work = costs[stage]
+        if cost > _MAX_SUBSETS:
+            raise SizeLimitError(
+                f"{stage} would {work.format(cost)}, exceeding the cap of {_MAX_SUBSETS}"
+            )
 
 
 def _subset_rows(matrix: DimensionalMatrix, subset: Sequence[int]) -> tuple:
@@ -134,7 +148,7 @@ def enumerate_basis_sets(
     """
     n = len(matrix.quantities)
     r = matrix.rank
-    _check_size(matrix, max_n, comb(n, r), "basis-set enumeration")
+    _check_size(matrix, max_n, "basis-set enumeration")
     return [
         BasisSet(subset)
         for subset in combinations(range(n), r)
@@ -159,9 +173,7 @@ def enumerate_circuit_sets(
     size are examined.
     """
     n = len(matrix.quantities)
-    _check_size(
-        matrix, max_n, sum(comb(n, k) for k in range(1, matrix.rank + 2)), "circuit scan"
-    )
+    _check_size(matrix, max_n, "circuit scan")
     found = [
         CircuitSet(subset)
         for size in range(1, matrix.rank + 2)

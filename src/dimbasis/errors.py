@@ -8,15 +8,12 @@ DEFAULT_MAX_N = 20
 
 
 class SizeLimitError(Exception):
-    """Raised when an input exceeds a size cap.
+    """Raised when an input exceeds a size cap; the message names the size and the cap."""
 
-    ``n`` is the size found and ``limit`` the cap: by default the quantity
-    count of a matrix, otherwise what ``message`` names.
-    """
 
-    def __init__(self, n: int, limit: int, message: str | None = None):
-        super().__init__(
-            message or f"matrix has {n} quantities, exceeding the configured cap of {limit}"
+def check_max_n(n: int, max_n: int) -> None:
+    """Refuse a matrix of ``n`` quantities over the quantity cap ``max_n``."""
+    if n > max_n:
+        raise SizeLimitError(
+            f"matrix has {n} quantities, exceeding the configured cap of {max_n}"
         )
-        self.n = n
-        self.limit = limit

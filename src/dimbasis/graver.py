@@ -32,7 +32,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import DEFAULT_MAX_N, SizeLimitError
+from .errors import DEFAULT_MAX_N, SizeLimitError, check_max_n
 from .model import DimensionalMatrix, Invariant, InvariantPair
 
 Vector = tuple[int, ...]
@@ -119,20 +119,17 @@ def graver_basis(
         basis uses; each pair stands for both of its orientations.
     """
     n = len(matrix.quantities)
-    if n > max_n:
-        raise SizeLimitError(n, max_n)
+    check_max_n(n, max_n)
     rows = matrix.rows
     if method == "completion":
         vectors = _completion(rows)
     elif method == "brute_force":
         if bound is None or bound < 1:
-            raise ValueError("brute_force needs an entry bound >= 1")
+            raise ValueError("brute-force bound must be at least 1")
         side = 2 * bound + 1
         if side**n > MAX_BOX_POINTS:
             raise SizeLimitError(
-                side**n,
-                MAX_BOX_POINTS,
-                f"brute-force box has {side}^{n} points, exceeding the cap of {MAX_BOX_POINTS}",
+                f"brute-force box has {side}^{n} points, exceeding the cap of {MAX_BOX_POINTS}"
             )
         vectors = _brute_force(rows, bound)
     else:

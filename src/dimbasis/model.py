@@ -5,6 +5,14 @@ quantity over an ordered list of base dimensions. An invariant is a power
 product of the quantities whose value does not change under rescaling of the
 base units; equivalently, an integer vector in the kernel of the matrix.
 
+Every value rule of an input lives here; the parser and the CLI only say
+where a value came from. :class:`DimensionSystem` owns the dimension names,
+:class:`Quantity` the quantity name, integer exponents and a UTF-8 encodable
+``display``, :func:`build_matrix` the quantity count, unique names and one
+exponent per dimension, and :func:`_check_roles` the dependent and excluded
+quantities. Messages start with a field path (``dims[0]: ...``) that a caller
+prefixes with its own location.
+
 All values are immutable after construction and safe to share across threads.
 """
 
@@ -32,12 +40,12 @@ class DimensionSystem:
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
         if not self.names:
-            raise ValueError("a dimension system needs at least one dimension")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("dimension names must be unique")
-        for name in self.names:
+            raise ValueError("dimensions: expected at least one dimension")
+        for k, name in enumerate(self.names):
             if not DIMENSION_NAME_RE.fullmatch(name):
-                raise ValueError(f"invalid dimension name: {name!r}")
+                raise ValueError(f"dimensions[{k}]: invalid dimension name {name!r}")
+            if name in self.names[:k]:
+                raise ValueError(f"dimensions[{k}]: duplicate dimension {name!r}")
 
     @property
     def size(self) -> int:
@@ -59,10 +67,21 @@ class Quantity:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
         if not QUANTITY_NAME_RE.fullmatch(self.name):
-            raise ValueError(f"invalid quantity name: {self.name!r}")
-        for e in self.dims:
+            raise ValueError(
+                f"name: invalid quantity name {self.name!r} "
+                "(letters, digits and _ ( ) . / + ' - are allowed, no whitespace)"
+            )
+        for k, e in enumerate(self.dims):
             if not isinstance(e, int) or isinstance(e, bool):
-                raise ValueError(f"quantity {self.name!r}: non-integer exponent {e!r}")
+                raise ValueError(f"dims[{k}]: non-integer exponent {e!r}")
+        if self.display is not None:
+            if not isinstance(self.display, str):
+                raise ValueError("display: expected a string")
+            # A JSON \u escape can yield a lone surrogate, which no output can encode.
+            try:
+                self.display.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError("display: not encodable as UTF-8") from None
 
 
 @dataclass(frozen=True)
@@ -101,20 +120,40 @@ def build_matrix(system: DimensionSystem, quantities: Sequence[Quantity]) -> Dim
     """Validate quantities against the system and cache the rank."""
     qs = tuple(quantities)
     if not qs:
-        raise ValueError("a dimensional matrix needs at least one quantity")
+        raise ValueError("quantities: expected at least one quantity")
     seen: set[str] = set()
-    for q in qs:
-        if q.name in seen:
-            raise ValueError(f"duplicate quantity name: {q.name!r}")
-        seen.add(q.name)
+    for k, q in enumerate(qs):
         if len(q.dims) != system.size:
             raise ValueError(
-                f"quantity {q.name!r} has {len(q.dims)} dimension exponents, "
-                f"expected {system.size}"
+                f"quantities[{k}].dims: expected {system.size} exponents, got {len(q.dims)}"
             )
+        if q.name in seen:
+            raise ValueError(f"quantities[{k}].name: duplicate quantity {q.name!r}")
+        seen.add(q.name)
     rows = tuple(tuple(q.dims[i] for q in qs) for i in range(system.size))
     r = linalg.rank(rows)
     return DimensionalMatrix(system=system, quantities=qs, rank=r)
+
+
+def _check_roles(
+    matrix: DimensionalMatrix, dependent: int | None, excluded: Sequence[int]
+) -> None:
+    """Validate the quantity roles of an analysis, given as column indices.
+
+    Every index must name a quantity, no quantity may be excluded twice, and
+    the dependent quantity (None when there is none) may not be excluded.
+    """
+    n = len(matrix.quantities)
+    if dependent is not None and not 0 <= dependent < n:
+        raise ValueError(f"dependent index {dependent} out of range for {n} quantities")
+    for k, j in enumerate(excluded):
+        if not 0 <= j < n:
+            raise ValueError(f"excluded index {j} out of range for {n} quantities")
+        name = matrix.quantities[j].name
+        if j in excluded[:k]:
+            raise ValueError(f"duplicate excluded quantity {name!r}")
+        if j == dependent:
+            raise ValueError(f"excluded quantity {name!r} is already the dependent quantity")
 
 
 @dataclass(frozen=True)

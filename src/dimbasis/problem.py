@@ -24,6 +24,12 @@ Dimension expression grammar:
 
 An omitted exponent means 1, IDENT must be a declared dimension, and repeated
 IDENTs sum their exponents. Exponents must be integers.
+
+This module owns only the document shape: JSON types, unknown fields, exactly
+one of ``dims``/``expr``, the expression grammar, and the names that
+``dependent`` and ``excluded`` look up. The value rules (names, exponents,
+``display``, repeated quantities, the roles) belong to :mod:`dimbasis.model`;
+a ``ValueError`` from there is re-raised with its document path in front.
 """
 
 from __future__ import annotations
@@ -33,14 +39,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import (
-    DIMENSION_NAME_RE,
-    QUANTITY_NAME_RE,
-    DimensionSystem,
-    DimensionalMatrix,
-    Quantity,
-    build_matrix,
-)
+from .model import DimensionSystem, DimensionalMatrix, Quantity, _check_roles, build_matrix
 
 _SIGNED_INT_RE = re.compile(r"[+-]?\d+")
 
@@ -87,39 +86,29 @@ def _require(condition: bool, message: str) -> None:
         raise ProblemParseError(message)
 
 
+def _at(where: str, build, *args):
+    """Call a model constructor; prefix its ValueError with the document path."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise ProblemParseError(f"{where}{e}") from None
+
+
 def _parse_quantity(entry: object, index: int, dimensions: tuple[str, ...]) -> Quantity:
     where = f"quantities[{index}]"
     _require(isinstance(entry, dict), f"{where}: expected an object")
     assert isinstance(entry, dict)
     unknown = set(entry) - {"name", "dims", "expr", "display"}
     _require(not unknown, f"{where}: unknown field(s) {sorted(unknown)}")
-
     name = entry.get("name")
-    _require(isinstance(name, str) and bool(name), f"{where}.name: expected a nonempty string")
-    assert isinstance(name, str)
+    _require(isinstance(name, str), f"{where}.name: expected a string")
     _require(
-        QUANTITY_NAME_RE.fullmatch(name) is not None,
-        f"{where}.name: invalid quantity name {name!r} "
-        "(letters, digits and _ ( ) . / + ' - are allowed, no whitespace)",
+        ("dims" in entry) != ("expr" in entry),
+        f"{where}: exactly one of 'dims' or 'expr' is required",
     )
-
-    has_dims = "dims" in entry
-    has_expr = "expr" in entry
-    _require(has_dims != has_expr, f"{where}: exactly one of 'dims' or 'expr' is required")
-
-    if has_dims:
-        dims = entry["dims"]
-        _require(isinstance(dims, list), f"{where}.dims: expected a list of integers")
-        _require(
-            len(dims) == len(dimensions),
-            f"{where}.dims: expected {len(dimensions)} exponents, got {len(dims)}",
-        )
-        for k, e in enumerate(dims):
-            _require(
-                isinstance(e, int) and not isinstance(e, bool),
-                f"{where}.dims[{k}]: non-integer exponent {e!r}",
-            )
-        vector = tuple(dims)
+    if "dims" in entry:
+        vector = entry["dims"]
+        _require(isinstance(vector, list), f"{where}.dims: expected a list of integers")
     else:
         expr = entry["expr"]
         _require(isinstance(expr, str), f"{where}.expr: expected a string")
@@ -127,16 +116,7 @@ def _parse_quantity(entry: object, index: int, dimensions: tuple[str, ...]) -> Q
             vector = parse_dimension_expression(expr, dimensions)
         except ProblemParseError as e:
             raise ProblemParseError(f"{where}.expr: {e}") from None
-
-    display = entry.get("display")
-    if display is not None:
-        _require(isinstance(display, str), f"{where}.display: expected a string")
-        # A JSON \u escape can yield a lone surrogate, which no output can encode.
-        try:
-            display.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ProblemParseError(f"{where}.display: not encodable as UTF-8") from None
-    return Quantity(name=name, dims=vector, display=display)
+    return _at(f"{where}.", Quantity, name, vector, entry.get("display"))
 
 
 def parse_problem(text: str) -> Problem:
@@ -156,62 +136,33 @@ def parse_problem(text: str) -> Problem:
 
     dims = doc.get("dimensions")
     _require(
-        isinstance(dims, list) and dims and all(isinstance(d, str) for d in dims),
-        "dimensions: expected a nonempty list of strings",
+        isinstance(dims, list) and all(isinstance(d, str) for d in dims),
+        "dimensions: expected a list of strings",
     )
     assert isinstance(dims, list)
-    for k, d in enumerate(dims):
-        _require(
-            DIMENSION_NAME_RE.fullmatch(d) is not None,
-            f"dimensions[{k}]: invalid dimension name {d!r}",
-        )
-    _require(len(set(dims)) == len(dims), "dimensions: names must be unique")
-    dimensions = tuple(dims)
-
+    system = _at("", DimensionSystem, tuple(dims))
     raw_quantities = doc.get("quantities")
-    _require(
-        isinstance(raw_quantities, list) and bool(raw_quantities),
-        "quantities: expected a nonempty list",
-    )
+    _require(isinstance(raw_quantities, list), "quantities: expected a list")
     assert isinstance(raw_quantities, list)
     quantities = [
-        _parse_quantity(entry, k, dimensions) for k, entry in enumerate(raw_quantities)
+        _parse_quantity(entry, k, system.names) for k, entry in enumerate(raw_quantities)
     ]
-    names = [q.name for q in quantities]
-    for k, name in enumerate(names):
-        _require(name not in names[:k], f"quantities[{k}].name: duplicate quantity {name!r}")
-
-    try:
-        matrix = build_matrix(DimensionSystem(dimensions), quantities)
-    except ValueError as e:
-        raise ProblemParseError(str(e)) from None
+    matrix = _at("", build_matrix, system, quantities)
+    names = list(matrix.names)
 
     dependent: int | None = None
-    if "dependent" in doc and doc["dependent"] is not None:
-        dep_name = doc["dependent"]
+    dep_name = doc.get("dependent")
+    if dep_name is not None:
         _require(isinstance(dep_name, str), "dependent: expected a string")
         _require(dep_name in names, f"dependent: unknown quantity {dep_name!r}")
         dependent = names.index(dep_name)
-
-    excluded: tuple[int, ...] = ()
-    if "excluded" in doc and doc["excluded"] is not None:
-        raw_excluded = doc["excluded"]
-        _require(
-            isinstance(raw_excluded, list)
-            and all(isinstance(x, str) for x in raw_excluded),
-            "excluded: expected a list of quantity names",
-        )
-        assert isinstance(raw_excluded, list)
-        seen: list[int] = []
-        for x in raw_excluded:
-            _require(x in names, f"excluded: unknown quantity {x!r}")
-            index = names.index(x)
-            _require(index not in seen, f"excluded: duplicate quantity {x!r}")
-            _require(
-                index != dependent,
-                f"excluded: {x!r} is already the dependent quantity",
-            )
-            seen.append(index)
-        excluded = tuple(seen)
-
+    raw_excluded = [] if doc.get("excluded") is None else doc["excluded"]
+    _require(
+        isinstance(raw_excluded, list) and all(isinstance(x, str) for x in raw_excluded),
+        "excluded: expected a list of quantity names",
+    )
+    for x in raw_excluded:
+        _require(x in names, f"excluded: unknown quantity {x!r}")
+    excluded = tuple(names.index(x) for x in raw_excluded)
+    _at("", _check_roles, matrix, dependent, excluded)
     return Problem(matrix=matrix, dependent=dependent, excluded=excluded)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .enumeration import BasisSet, basis_set_invariants, enumerate_basis_sets
+from .enumeration import BasisSet, _check_size, basis_set_invariants, enumerate_basis_sets
 from .errors import DEFAULT_MAX_N
-from .model import DimensionalMatrix, Invariant
+from .model import DimensionalMatrix, Invariant, _check_roles
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,6 @@ class EquationSystem:
     representations: tuple[Representation, ...]
     relation_name: str = "Psi"
     warning: str | None = None
-
-
-def _check_roles(matrix: DimensionalMatrix, dependent: int, excluded: tuple[int, ...]):
-    n = len(matrix.quantities)
-    if not 0 <= dependent < n:
-        raise ValueError(f"dependent index {dependent} out of range for {n} quantities")
-    for j in excluded:
-        if not 0 <= j < n:
-            raise ValueError(f"excluded index {j} out of range for {n} quantities")
-    if dependent in excluded:
-        raise ValueError("the dependent quantity cannot also be excluded")
 
 
 def admissible_basis_sets(
@@ -123,8 +112,13 @@ def equation_system(
     """All representations for a dependent quantity, numbered Phi_1, Phi_2, ...
 
     An empty system carries a warning instead of raising: having no
-    admissible basis set is an analysis outcome, not a usage error.
+    admissible basis set is an analysis outcome, not a usage error. The
+    reductions are charged against the subset cap before the enumeration
+    starts.
     """
+    excluded = tuple(excluded)
+    _check_roles(matrix, dependent, excluded)
+    _check_size(matrix, max_n, "basis-set enumeration", "basis-set reductions")
     bases = admissible_basis_sets(matrix, dependent, excluded, max_n)
     if not bases:
         name = matrix.quantities[dependent].name

@@ -231,17 +231,41 @@ def test_size_cap_exits_2(capsys):
     ("check", "circuit scan", 784625),
 ])
 def test_subset_cap_exits_2(capsys, monkeypatch, tmp_path, command, stage, subsets):
-    from dimbasis import cli, enumeration, linalg
+    from dimbasis import enumeration
 
-    # Rank 10 on 20 quantities, whose enumeration would run for many minutes;
+    code, out, err = run_over_cap(capsys, monkeypatch, tmp_path, command, rank=10)
+    assert (code, out) == (2, "")
+    cap = enumeration._MAX_SUBSETS
+    assert err == (
+        f"error: {stage} would visit {subsets} column subsets, exceeding the cap of {cap}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["representations", "check"])
+def test_reduction_cap_exits_2(capsys, monkeypatch, tmp_path, command):
+    from dimbasis import enumeration
+
+    # 15,504 basis subsets and a 60,459-subset scan are under the cap, but
+    # 16 eliminations per basis subset are not.
+    code, out, err = run_over_cap(capsys, monkeypatch, tmp_path, command, rank=5)
+    assert (code, out) == (2, "")
+    cap = enumeration._MAX_SUBSETS
+    assert err == (
+        f"error: basis-set reductions would run 248064 eliminations, exceeding the cap of {cap}\n"
+    )
+
+
+def run_over_cap(capsys, monkeypatch, tmp_path, command, rank):
+    from dimbasis import cli, linalg
+
+    # Rank 10 or 5 on 20 quantities, whose stages would run for many minutes;
     # with the eliminations disabled after parsing, one the cap failed to stop
     # raises at once instead.
-    dims = [f"D{i}" for i in range(10)]
-    quantities = [
-        {"name": f"q{j}", "expr": dims[j % 10] + (f" {dims[(j + 1) % 10]}" if j >= 10 else "")}
-        for j in range(20)
-    ]
-    path = tmp_path / "rank10.dim"
+    dims = [f"D{i}" for i in range(rank)]
+    quantities = [{"name": f"q{j}", "expr": dims[j % rank]} for j in range(20)]
+    for j in range(rank, 20):
+        quantities[j]["expr"] += f" {dims[(j + 1) % rank]}"
+    path = tmp_path / f"rank{rank}.dim"
     path.write_text(json.dumps({"dimensions": dims, "quantities": quantities, "dependent": "q0"}))
     real_parse = cli.parse_problem
 
@@ -255,12 +279,7 @@ def test_subset_cap_exits_2(capsys, monkeypatch, tmp_path, command, stage, subse
         return problem
 
     monkeypatch.setattr(cli, "parse_problem", parse_then_disable)
-    code, out, err = run(capsys, command, "--input", str(path))
-    assert (code, out) == (2, "")
-    cap = enumeration._MAX_SUBSETS
-    assert err == (
-        f"error: {stage} would visit {subsets} column subsets, exceeding the cap of {cap}\n"
-    )
+    return run(capsys, command, "--input", str(path))
 
 
 def test_bad_graver_method_exits_1(capsys):
@@ -273,8 +292,25 @@ def test_usage_error_exits_1(capsys):
     assert main(["no-such-command", "--input", PIPE]) == 1
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (["rank", "--input", PIPE, "--bogus"], "unrecognized arguments: --bogus"),
+    (["rank"], "--input"),
+    (["rank", "--input", PIPE, "--max-n", "abc"], "'abc'"),
+    (["rank", "--input", PIPE, "--format", "xml"], "'xml'"),
+    (["no-such-command", "--input", PIPE], "'no-such-command'"),
+    (["rank", "--input", PIPE, "--dependent", "a"], "unrecognized arguments: --dependent a"),
+], ids=["unknown flag", "missing input", "bad max-n", "bad format", "unknown command",
+        "flag of another command"])
+def test_usage_error_prints_one_error_line(capsys, argv, cause):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and cause in err, err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: dimbasis") and err == ""
 
 
 def test_unknown_dependent_exits_1(capsys):

@@ -327,9 +327,17 @@ def test_subset_cap_is_inclusive(pipe, monkeypatch):
 
 
 def test_largest_checked_inputs_are_under_the_subset_cap():
-    # The ROADMAP cardinality rung 4 x 12 scans 1,585 subsets; a rank-6
+    # The ROADMAP cardinality rung 4 x 12 scans 1,585 subsets and its basis-set
+    # reductions are charged C(12, 4) * 9 = 4,455 eliminations; a rank-6
     # 20-quantity scan (137,979 subsets) is the smallest refused at n <= 20.
-    assert 1585 <= enumeration._MAX_SUBSETS < 137979
+    assert math.comb(12, 4) * (12 - 4 + 1) == 4455
+    assert 4455 <= enumeration._MAX_SUBSETS < 137979
+    rng = random.Random(1)
+    rung = matrix_of("ABCD", [(f"q{j}", [rng.randint(-3, 3) for _ in "ABCD"]) for j in range(12)])
+    assert rung.rank == 4
+    enumeration._check_size(
+        rung, 12, "circuit scan", "basis-set enumeration", "basis-set reductions"
+    )
 
 
 def test_size_cap_enforced(pipe):

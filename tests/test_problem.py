@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from dimbasis import ProblemParseError, parse_dimension_expression, parse_problem
+from dimbasis import (
+    DimensionSystem,
+    ProblemParseError,
+    Quantity,
+    build_matrix,
+    parse_dimension_expression,
+    parse_problem,
+)
+from dimbasis.model import _check_roles
 from conftest import FIXTURE_DIR
 
 
@@ -152,3 +160,42 @@ def test_fixture_files_parse(pipe, laminar, falling_body, two_body):
     fall = parse_problem((FIXTURE_DIR / "falling_body.dim").read_text())
     assert fall.dependent == 0
     assert fall.excluded == (4,)
+
+
+# ----------------------------------------------------------- rule owners
+
+LTM = DimensionSystem(("L", "T", "M"))
+U, D = Quantity("u", (1, -1, 0)), Quantity("d", (1, 0, 0))
+
+
+@pytest.mark.parametrize("model_call, document", [
+    (lambda: DimensionSystem(("L", "2T")), doc(dimensions=["L", "2T"])),
+    (lambda: DimensionSystem(("L", "T", "L")), doc(dimensions=["L", "T", "L"])),
+    (lambda: Quantity("a b", (1, 0, 0)),
+     doc(quantities=[{"name": "a b", "dims": [1, 0, 0]}])),
+    (lambda: Quantity("u", (1, 0.5, 0)),
+     doc(quantities=[{"name": "u", "dims": [1, 0.5, 0]}])),
+    (lambda: build_matrix(LTM, [U, Quantity("d", (1, 0))]),
+     doc(quantities=[{"name": "u", "expr": "L T^-1"}, {"name": "d", "dims": [1, 0]}])),
+    (lambda: build_matrix(LTM, [U, D, Quantity("u", (0, 0, 1))]),
+     doc(quantities=[{"name": "u", "expr": "L T^-1"}, {"name": "d", "dims": [1, 0, 0]},
+                     {"name": "u", "dims": [0, 0, 1]}])),
+    (lambda: Quantity("u", (1, 0, 0), "a\ud800"),
+     doc(quantities=[{"name": "u", "dims": [1, 0, 0], "display": "a\ud800"}])),
+    (lambda: _check_roles(build_matrix(LTM, [U, D]), None, (1, 1)),
+     doc(excluded=["d", "d"])),
+    (lambda: _check_roles(build_matrix(LTM, [U, D]), 0, (0,)),
+     doc(dependent="u", excluded=["u"])),
+], ids=[
+    "bad dimension name", "repeated dimension", "bad quantity name", "non-integer exponent",
+    "wrong exponent count", "repeated quantity name", "unencodable display",
+    "repeated excluded quantity", "dependent also excluded",
+])
+def test_each_rule_has_one_owner(model_call, document):
+    # The parser only says where a value sits; the model's message says what
+    # is wrong with it, so a copy of a rule with its own wording fails here.
+    with pytest.raises(ValueError) as model_error:
+        model_call()
+    with pytest.raises(ProblemParseError) as parser_error:
+        parse_problem(document)
+    assert str(parser_error.value).endswith(str(model_error.value))
