@@ -27,6 +27,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _positive_int(text: str) -> int:
+    """The ``--max-n`` type: below 1, like a non-integer, is a usage error."""
+    value = int(text) if text.strip().lstrip("+").isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dimbasis",
@@ -45,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-n",
-            type=int,
+            type=_positive_int,
             default=DEFAULT_MAX_N,
             help=f"quantity-count cap for enumeration (default: {DEFAULT_MAX_N})",
         )

@@ -19,10 +19,10 @@ Terminology, with the quantity columns of a dimensional matrix as ground set:
 
 Enumeration is exhaustive over column subsets and therefore intended for
 desk-scale matrices; inputs are capped by ``max_n`` and, before a stage starts,
-by the eliminations it will run: C(n, r) subsets for the basis sets, C(n, 1) +
-... + C(n, r + 1) for the circuit scan, and C(n, r) * (n - r + 1) for the
-basis-set reductions of ``representations`` and ``check``. All outputs are in
-deterministic lexicographic order.
+by the work it will do: C(n, r) subsets for the basis sets, C(n, 1) + ... +
+C(n, r + 1) for the circuit scan, and C(n, r) * (n - r + 1) eliminations and
+back-substitutions for the basis-set reductions of ``representations`` and
+``check``. All outputs are in deterministic lexicographic order.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def _check_size(matrix: DimensionalMatrix, max_n: int, *stages: str) -> None:
     """Refuse the input before any of ``stages`` starts.
 
     Each stage is charged its eliminations: one per subset, and for the
-    reductions n - r + 1 per basis subset (the basis test, then one solve
-    per non-basis quantity).
+    reductions n - r + 1 per basis subset (one elimination over all n
+    columns, then one back-substitution per non-basis quantity).
     """
     n, r = len(matrix.quantities), matrix.rank
     check_max_n(n, max_n)
@@ -113,11 +113,6 @@ def _subset_rows(matrix: DimensionalMatrix, subset: Sequence[int]) -> tuple:
             raise ValueError(f"quantity index {j} out of range for {n} quantities")
     cols = matrix.columns
     return tuple(tuple(cols[j][i] for j in subset) for i in range(matrix.system.size))
-
-
-def _subset_rank(matrix: DimensionalMatrix, subset: Sequence[int]) -> int:
-    rows = _subset_rows(matrix, subset)
-    return linalg.rank(rows) if subset else 0
 
 
 def _circuit_line(matrix: DimensionalMatrix, subset: Sequence[int]) -> tuple[int, ...] | None:
@@ -146,13 +141,12 @@ def enumerate_basis_sets(
     With rank 0 the single empty basis set is returned: every quantity is
     then dimensionless on its own.
     """
-    n = len(matrix.quantities)
-    r = matrix.rank
+    n, r = len(matrix.quantities), matrix.rank
     _check_size(matrix, max_n, "basis-set enumeration")
     return [
         BasisSet(subset)
         for subset in combinations(range(n), r)
-        if _subset_rank(matrix, subset) == r
+        if not subset or linalg.rank(_subset_rows(matrix, subset)) == r
     ]
 
 
@@ -205,28 +199,24 @@ def circuit_basis(
 
 
 def basis_set_invariants(matrix: DimensionalMatrix, basis: BasisSet) -> BasisSetSystem:
-    """Reduce each non-basis quantity against a basis set.
+    """Reduce each non-basis quantity against a basis set, in one elimination.
 
-    Solving a non-basis column in terms of the basis columns yields a kernel
-    vector with exponent 1 on that quantity; scaling it by a positive
-    rational to primitive integers keeps that exponent positive.
+    With the columns ordered ``[B | the others in quantity order]``, B is a
+    basis set exactly when it has r columns and they are the pivot columns.
+    Then the echelon kernel basis has pivots at B: vector k is 1 on the k-th
+    non-basis quantity and 0 on the others, the reduced invariant of that
+    quantity. Primitive scaling by a positive rational keeps the 1 positive.
     """
-    n = len(matrix.quantities)
-    r = matrix.rank
-    if len(basis) != r or _subset_rank(matrix, basis.indices) != r:
+    n, r = len(matrix.quantities), matrix.rank
+    order = basis.indices + tuple(j for j in range(n) if j not in basis)
+    kernel = linalg.kernel_basis(_subset_rows(matrix, order))
+    if len(basis) != r or kernel.pivot_columns != tuple(range(r)):
         raise ValueError(f"{basis.indices} is not a basis set of this matrix")
-    rows = matrix.rows
-    invariants = []
-    for i in range(n):
-        if i in basis:
-            continue
-        coefficients = linalg.solve_in_basis(rows, basis.indices, i)
-        vector = [0] * n  # type: list
-        vector[i] = 1
-        for j, c in zip(basis.indices, coefficients):
-            vector[j] = -c
-        invariants.append(Invariant(linalg.scale_to_primitive(vector)))
-    return BasisSetSystem(basis=basis, invariants=tuple(invariants))
+    invariants = tuple(  # each kernel vector back in quantity order
+        Invariant(linalg.scale_to_primitive([x for _, x in sorted(zip(order, vector))]))
+        for vector in kernel.vectors
+    )
+    return BasisSetSystem(basis=basis, invariants=invariants)
 
 
 def unified_basis(

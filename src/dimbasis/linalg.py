@@ -5,7 +5,8 @@ results are exact; floating point never enters. A matrix is a sequence of
 rows, each row a sequence of integers. Elimination picks the first nonzero
 entry in each column as pivot, which makes every result deterministic.
 The one elimination core is :func:`_echelon` plus, in :func:`_kernel`, one
-back-substitution per free column; systems are solved through that kernel.
+back-substitution per free column. Systems are solved through that kernel, and
+``enumeration.basis_set_invariants`` reads a basis set's reductions off it.
 """
 
 from __future__ import annotations

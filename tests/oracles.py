@@ -2,21 +2,19 @@
 
 These deliberately avoid the package's elimination code: rank comes from
 minor determinants (Laplace expansion), basis and circuit sets from their
-set-theoretic definitions. The exception is :func:`oracle_unified_basis`,
-which is the unified basis by its definition, built from the package's
-per-basis-set reductions. Only usable for small matrices.
+set-theoretic definitions. The exceptions are the reductions:
+:func:`oracle_basis_set_invariants` reduces each non-basis quantity on its
+own (a rank test, then one ``solve_in_basis`` per non-basis quantity), and
+:func:`oracle_unified_basis` is the unified basis by its definition, the union
+of those reductions over the package's basis sets. Only usable for small
+matrices.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from dimbasis import (
-    DimensionalMatrix,
-    Invariant,
-    basis_set_invariants,
-    enumerate_basis_sets,
-)
+from dimbasis import DimensionalMatrix, Invariant, enumerate_basis_sets, linalg
 
 
 def det(square: list[list[int]]) -> int:
@@ -79,6 +77,34 @@ def oracle_circuit_sets(matrix: DimensionalMatrix) -> list[tuple[int, ...]]:
     return sorted(circuits)
 
 
+def oracle_basis_set_invariants(matrix: DimensionalMatrix, basis) -> tuple[Invariant, ...]:
+    """The reduced invariants of a basis set, one solve per non-basis quantity.
+
+    Each is the kernel vector with exponent 1 on its quantity and the negated
+    ``solve_in_basis`` coefficients on the basis, scaled to primitive
+    integers. Raises ValueError for an index that names no quantity or a
+    subset that is not a basis set.
+    """
+    n, r = len(matrix.quantities), matrix.rank
+    basis = tuple(basis)
+    if any(not 0 <= j < n for j in basis):
+        raise ValueError(f"{basis} names no quantity")
+    columns = [matrix.columns[j] for j in basis]
+    if len(basis) != r or (basis and linalg.rank(list(zip(*columns))) != r):
+        raise ValueError(f"{basis} is not a basis set of this matrix")
+    invariants = []
+    for i in range(n):
+        if i in basis:
+            continue
+        coefficients = linalg.solve_in_basis(matrix.rows, basis, i)
+        vector = [0] * n
+        vector[i] = 1
+        for j, c in zip(basis, coefficients):
+            vector[j] = -c
+        invariants.append(Invariant(linalg.scale_to_primitive(vector)))
+    return tuple(invariants)
+
+
 def oracle_unified_basis(matrix: DimensionalMatrix) -> list[Invariant]:
     """Union of the reduced invariants over every basis set, as canonical pairs.
 
@@ -88,7 +114,7 @@ def oracle_unified_basis(matrix: DimensionalMatrix) -> list[Invariant]:
     seen: set[tuple[int, ...]] = set()
     out: list[Invariant] = []
     for basis in enumerate_basis_sets(matrix):
-        for invariant in basis_set_invariants(matrix, basis).invariants:
+        for invariant in oracle_basis_set_invariants(matrix, basis):
             canonical = invariant.canonical()
             if canonical.exponents not in seen:
                 seen.add(canonical.exponents)

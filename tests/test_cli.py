@@ -292,15 +292,23 @@ def test_usage_error_exits_1(capsys):
     assert main(["no-such-command", "--input", PIPE]) == 1
 
 
+BAD_MAX_N = "argument --max-n: expected a positive integer, got "
+
+
 @pytest.mark.parametrize("argv, cause", [
     (["rank", "--input", PIPE, "--bogus"], "unrecognized arguments: --bogus"),
     (["rank"], "--input"),
-    (["rank", "--input", PIPE, "--max-n", "abc"], "'abc'"),
+    (["rank", "--input", PIPE, "--max-n", "abc"], f"{BAD_MAX_N}'abc'"),
+    (["rank", "--input", PIPE, "--max-n", "-5"], f"{BAD_MAX_N}'-5'"),
+    (["rank", "--input", PIPE, "--max-n", "0"], f"{BAD_MAX_N}'0'"),
+    (["basis-sets", "--input", PIPE, "--max-n", "0"], f"{BAD_MAX_N}'0'"),
+    (["basis-sets", "--input", PIPE, "--max-n", "-1"], f"{BAD_MAX_N}'-1'"),
     (["rank", "--input", PIPE, "--format", "xml"], "'xml'"),
     (["no-such-command", "--input", PIPE], "'no-such-command'"),
     (["rank", "--input", PIPE, "--dependent", "a"], "unrecognized arguments: --dependent a"),
-], ids=["unknown flag", "missing input", "bad max-n", "bad format", "unknown command",
-        "flag of another command"])
+], ids=["unknown flag", "missing input", "bad max-n", "negative max-n", "zero max-n",
+        "zero max-n on an enumeration", "negative max-n on an enumeration", "bad format",
+        "unknown command", "flag of another command"])
 def test_usage_error_prints_one_error_line(capsys, argv, cause):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")

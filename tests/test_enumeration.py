@@ -22,7 +22,12 @@ from dimbasis import (
 )
 from dimbasis import enumeration, linalg
 from conftest import matrix_of
-from oracles import oracle_basis_sets, oracle_circuit_sets, oracle_unified_basis
+from oracles import (
+    oracle_basis_set_invariants,
+    oracle_basis_sets,
+    oracle_circuit_sets,
+    oracle_unified_basis,
+)
 
 # Quantity order (dP/l, rho, mu, d, u). Canonical orientations of the five
 # circuit invariant pairs of the turbulent pipe matrix.
@@ -187,6 +192,24 @@ def test_basis_set_invariants_rejects_non_basis(pipe):
         basis_set_invariants(pipe, BasisSet((0, 1)))  # wrong size
     with pytest.raises(ValueError):
         basis_set_invariants(pipe, BasisSet((4,)))
+    for out_of_range in ((1, 2, 5), (-1, 1, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            basis_set_invariants(pipe, BasisSet(out_of_range))
+
+
+def test_basis_set_reduction_runs_one_elimination_and_no_rank_or_solve(pipe, monkeypatch):
+    from dimbasis import representations
+
+    calls = []
+    for name in ("rank", "kernel_basis", "solve_in_basis"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    system = basis_set_invariants(pipe, BasisSet((1, 2, 3)))
+    assert len(system.invariants) == 2
+    assert calls == ["kernel_basis"]
+    representations.equation_system(pipe, 0)
+    assert "solve_in_basis" not in calls
 
 
 # ---------------------------------------------------------- unified basis
@@ -236,6 +259,20 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_unified_basis_matches_per_basis_set_union(matrix):
     assert unified_basis(matrix) == oracle_unified_basis(matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_basis_set_invariants_match_per_quantity_solves(matrix):
+    n = len(matrix.quantities)
+    for subset in (s for k in range(n + 1) for s in combinations(range(n), k)):
+        try:
+            expected = oracle_basis_set_invariants(matrix, subset)
+        except ValueError:
+            with pytest.raises(ValueError):
+                basis_set_invariants(matrix, BasisSet(subset))
+        else:
+            assert basis_set_invariants(matrix, BasisSet(subset)).invariants == expected
 
 
 @settings(max_examples=60, deadline=None)
