@@ -9,6 +9,8 @@ always produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 from math import comb, gcd
 from pathlib import Path
@@ -27,10 +29,24 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _integer(text: str) -> int | None:
+    """The one integer syntax of the options: ASCII digits after at most one sign.
+
+    None for any other text, such as ``++5``, ``1_0``, `` 2`` or non-ASCII digits,
+    which ``int`` alone would accept or reject with a message of its own.
+    """
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def _positive_int(text: str) -> int:
     """The ``--max-n`` type: below 1, like a non-integer, is a usage error."""
-    value = int(text) if text.strip().lstrip("+").isdecimal() else 0
-    if value < 1:
+    value = _integer(text)
+    if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
@@ -77,10 +93,10 @@ def _parse_graver_method(text: str) -> tuple[str, int | None]:
     if text == "completion":
         return "completion", None
     if text.startswith("brute:"):
-        try:
-            return "brute_force", int(text.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad brute-force bound in {text!r}") from None
+        bound = _integer(text.removeprefix("brute:"))
+        if bound is None:
+            raise ValueError(f"bad brute-force bound in {text!r}")
+        return "brute_force", bound
     raise ValueError(f"unknown Graver method {text!r} (use completion or brute:<bound>)")
 
 
@@ -285,8 +301,8 @@ def _read_input(path: str) -> str:
         raise ValueError(f"cannot read {path}: not UTF-8 (byte {e.start})") from None
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    out, err = sys.stdout, sys.stderr
+def _run(argv: Sequence[str] | None, out, err) -> int:
+    """:func:`main` without the final flush of stdout."""
     try:
         args = build_parser().parse_args(argv)
         problem = parse_problem(_read_input(args.input))
@@ -314,6 +330,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (ProblemParseError, ValueError) as e:
         print(f"error: {e}", file=err)
+        return 1
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    out, err = sys.stdout, sys.stderr
+    try:
+        code = _run(argv, out, err)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, as ``| head`` does. What is still buffered
+        # goes to the null device, so the flush at exit has nothing to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        print("error: stdout was closed before all output was written", file=err)
         return 1
 
 

@@ -15,7 +15,8 @@ Terminology, with the quantity columns of a dimensional matrix as ground set:
   each reduced invariant is the fundamental circuit of its non-basis
   quantity, and every circuit C is the fundamental circuit of any e in C over
   a basis set extending C - e (Oxley, *Matroid Theory*, section 1.2). It is
-  therefore computed from the circuits.
+  therefore read off the circuit scan, which runs one elimination per subset
+  and keeps each circuit's line: sets, circuit basis and unified basis alike.
 
 Enumeration is exhaustive over column subsets and therefore intended for
 desk-scale matrices; inputs are capped by ``max_n`` and, before a stage starts,
@@ -158,23 +159,25 @@ def is_circuit_set(matrix: DimensionalMatrix, subset: Sequence[int]) -> bool:
     return _circuit_line(matrix, subset) is not None
 
 
+def _circuit_scan(matrix: DimensionalMatrix, max_n: int) -> list[tuple[tuple[int, ...], tuple]]:
+    """Each circuit set with its line, by index tuple: one elimination per subset.
+
+    A circuit has at most rank + 1 members, so larger subsets are not scanned.
+    """
+    _check_size(matrix, max_n, "circuit scan")
+    return sorted(
+        (subset, line)
+        for size in range(1, matrix.rank + 2)
+        for subset in combinations(range(len(matrix.quantities)), size)
+        if (line := _circuit_line(matrix, subset)) is not None
+    )
+
+
 def enumerate_circuit_sets(
     matrix: DimensionalMatrix, max_n: int = DEFAULT_MAX_N
 ) -> list[CircuitSet]:
-    """All circuit sets, sorted lexicographically by index tuple.
-
-    Circuits never have more than rank+1 members, so only subsets up to that
-    size are examined.
-    """
-    n = len(matrix.quantities)
-    _check_size(matrix, max_n, "circuit scan")
-    found = [
-        CircuitSet(subset)
-        for size in range(1, matrix.rank + 2)
-        for subset in combinations(range(n), size)
-        if is_circuit_set(matrix, subset)
-    ]
-    return sorted(found, key=lambda c: c.indices)
+    """All circuit sets, sorted lexicographically by index tuple."""
+    return [CircuitSet(subset) for subset, _ in _circuit_scan(matrix, max_n)]
 
 
 def circuit_invariant(matrix: DimensionalMatrix, circuit: CircuitSet) -> InvariantPair:
@@ -188,14 +191,11 @@ def circuit_invariant(matrix: DimensionalMatrix, circuit: CircuitSet) -> Invaria
 def circuit_basis(
     matrix: DimensionalMatrix, max_n: int = DEFAULT_MAX_N
 ) -> list[InvariantPair]:
-    """One invariant pair per circuit set, in circuit-set order.
+    """One invariant pair per circuit set, in circuit-set order: its scanned line.
 
-    The number of pairs always lies between n - rank and C(n, rank + 1).
+    One elimination per scanned subset; between n - rank and C(n, rank + 1) pairs.
     """
-    return [
-        circuit_invariant(matrix, circuit)
-        for circuit in enumerate_circuit_sets(matrix, max_n)
-    ]
+    return [InvariantPair(Invariant(line)) for _, line in _circuit_scan(matrix, max_n)]
 
 
 def basis_set_invariants(matrix: DimensionalMatrix, basis: BasisSet) -> BasisSetSystem:

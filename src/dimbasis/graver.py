@@ -41,6 +41,11 @@ Vector = tuple[int, ...]
 # 10^5 points at n = 5 (Python 3.11), so the cap keeps it to seconds.
 MAX_BOX_POINTS = 10**6
 
+# Each normal form scans the generators found so far, so the completion slows
+# as it grows. A seeded 3 x 7 matrix needs 80,601 normal forms (28-40 s,
+# Python 3.11); the cap lets it finish and stops a 3 x 8 one after about 40 s.
+_MAX_NORMAL_FORMS = 100_000
+
 
 def conforms(x: Sequence[int], y: Sequence[int]) -> bool:
     """Whether x <= y in the sign-compatible entrywise order."""
@@ -80,7 +85,13 @@ def _completion(rows: Sequence[Sequence[int]]) -> set[Vector]:
 
     for b in linalg.integer_kernel_basis(rows):
         add_pair(b)
+    normal_forms = 0
     while queue:
+        normal_forms += 1
+        if normal_forms > _MAX_NORMAL_FORMS:
+            raise SizeLimitError(
+                f"Graver completion would compute more than {_MAX_NORMAL_FORMS} normal forms"
+            )
         s = _normal_form(queue.popleft(), generators)
         if any(s):
             add_pair(s)

@@ -2,19 +2,28 @@
 
 These deliberately avoid the package's elimination code: rank comes from
 minor determinants (Laplace expansion), basis and circuit sets from their
-set-theoretic definitions. The exceptions are the reductions:
-:func:`oracle_basis_set_invariants` reduces each non-basis quantity on its
-own (a rank test, then one ``solve_in_basis`` per non-basis quantity), and
-:func:`oracle_unified_basis` is the unified basis by its definition, the union
-of those reductions over the package's basis sets. Only usable for small
-matrices.
+set-theoretic definitions. The exceptions are the invariants:
+:func:`oracle_circuit_basis` derives each circuit's pair on its own, after
+the circuit sets are known; :func:`oracle_basis_set_invariants` reduces each
+non-basis quantity on its own (a rank test, then one ``solve_in_basis`` per
+non-basis quantity); and :func:`oracle_unified_basis` is the unified basis by
+its definition, the union of those reductions over the package's basis sets.
+Only usable for small matrices.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from dimbasis import DimensionalMatrix, Invariant, enumerate_basis_sets, linalg
+from dimbasis import (
+    CircuitSet,
+    DimensionalMatrix,
+    Invariant,
+    InvariantPair,
+    circuit_invariant,
+    enumerate_basis_sets,
+    linalg,
+)
 
 
 def det(square: list[list[int]]) -> int:
@@ -75,6 +84,15 @@ def oracle_circuit_sets(matrix: DimensionalMatrix) -> list[tuple[int, ...]]:
             if proper_ok:
                 circuits.append(subset)
     return sorted(circuits)
+
+
+def oracle_circuit_basis(matrix: DimensionalMatrix) -> list[InvariantPair]:
+    """One ``circuit_invariant`` per definitional circuit set, in circuit-set order.
+
+    This is the per-circuit derivation: one more elimination for each circuit,
+    after the circuit sets are found.
+    """
+    return [circuit_invariant(matrix, CircuitSet(c)) for c in oracle_circuit_sets(matrix)]
 
 
 def oracle_basis_set_invariants(matrix: DimensionalMatrix, basis) -> tuple[Invariant, ...]:

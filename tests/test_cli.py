@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -306,9 +309,22 @@ BAD_MAX_N = "argument --max-n: expected a positive integer, got "
     (["rank", "--input", PIPE, "--format", "xml"], "'xml'"),
     (["no-such-command", "--input", PIPE], "'no-such-command'"),
     (["rank", "--input", PIPE, "--dependent", "a"], "unrecognized arguments: --dependent a"),
+    (["rank", "--input", PIPE, "--max-n", "++5"], f"{BAD_MAX_N}'++5'"),
+    (["rank", "--input", PIPE, "--max-n", "\u0662"], f"{BAD_MAX_N}'\u0662'"),
+    (["rank", "--input", PIPE, "--max-n", "9" * 5000], BAD_MAX_N),
+    (["graver", "--input", PIPE, "--graver-method", "brute:1_0"],
+     "bad brute-force bound in 'brute:1_0'"),
+    (["graver", "--input", PIPE, "--graver-method", "brute: 2"],
+     "bad brute-force bound in 'brute: 2'"),
+    (["check", "--input", PIPE, "--graver-method", "brute:\u0662"],
+     "bad brute-force bound in 'brute:\u0662'"),
+    (["graver", "--input", PIPE, "--graver-method", "brute:0"],
+     "error: brute-force bound must be at least 1\n"),
 ], ids=["unknown flag", "missing input", "bad max-n", "negative max-n", "zero max-n",
         "zero max-n on an enumeration", "negative max-n on an enumeration", "bad format",
-        "unknown command", "flag of another command"])
+        "unknown command", "flag of another command", "doubled sign max-n",
+        "non-ASCII digit max-n", "max-n beyond int digit limit", "underscore bound",
+        "space in bound", "non-ASCII digit bound", "zero bound"])
 def test_usage_error_prints_one_error_line(capsys, argv, cause):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -386,6 +402,45 @@ def test_oversized_brute_force_box_exits_2(capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: brute-force box has 17^5 points, exceeding the cap of 1000000\n"
+
+
+CLOSED_STDOUT = "error: stdout was closed before all output was written\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["rank", "--format", "json", "--input", PIPE],
+    ["check", "--format", "json", "--input", PIPE],
+    ["circuit-basis", "--format", "json", "--input", PIPE],
+    ["--help"],
+], ids=["rank", "check", "circuit-basis", "help"])
+def test_closed_stdout_prints_no_traceback(argv, unbuffered):
+    # The read end of stdout is closed before the process writes, as ``| head``
+    # leaves it. Buffered, the first write that fails is the flush of stdout;
+    # unbuffered, it is the first print.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(BENCH_DIR.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "dimbasis", *argv], stdout=write,
+                                stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    err = result.stderr.decode("utf-8", "replace")
+    # argparse drops a failed write of the help text, so unbuffered help exits 0.
+    expected = (0, "") if argv == ["--help"] and unbuffered else (1, CLOSED_STDOUT)
+    assert (result.returncode, err) == expected
+
+
+@pytest.mark.parametrize("command", ["graver", "check"])
+def test_over_budget_completion_exits_2(capsys, monkeypatch, command):
+    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 10)
+    code, out, err = run(capsys, command, "--input", PIPE)
+    assert (code, out) == (2, "")
+    assert err == "error: Graver completion would compute more than 10 normal forms\n"
 
 
 def test_text_runs_are_deterministic(capsys):

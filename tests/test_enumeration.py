@@ -25,6 +25,7 @@ from conftest import matrix_of
 from oracles import (
     oracle_basis_set_invariants,
     oracle_basis_sets,
+    oracle_circuit_basis,
     oracle_circuit_sets,
     oracle_unified_basis,
 )
@@ -129,6 +130,17 @@ def test_circuit_test_runs_one_elimination_and_no_rank(pipe, monkeypatch):
         circuit_invariant(pipe, CircuitSet(circuit))
     assert len(circuits) == 5
     assert calls == ["kernel_basis"] * (len(subsets) + len(circuits))
+
+
+@pytest.mark.parametrize("stage", [enumerate_circuit_sets, circuit_basis, unified_basis])
+def test_circuit_scan_runs_one_elimination_per_subset(pipe, monkeypatch, stage):
+    # 5 + 10 + 10 + 5 = 30 subsets; the pairs come with the scan, not from a
+    # second elimination per circuit.
+    calls = []
+    real = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis", lambda rows: calls.append(1) or real(rows))
+    assert len(stage(pipe)) == 5
+    assert len(calls) == 30
 
 
 def test_pipe_circuit_basis_exact_set(pipe):
@@ -284,6 +296,12 @@ def test_circuit_scan_and_test_match_oracle(matrix):
     found = [s for k in range(1, n + 1) for s in combinations(range(n), k)
              if is_circuit_set(matrix, s)]
     assert sorted(found) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_circuit_basis_matches_per_circuit_derivation(matrix):
+    assert circuit_basis(matrix) == oracle_circuit_basis(matrix)
 
 
 @settings(max_examples=60, deadline=None)

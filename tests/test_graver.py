@@ -103,6 +103,16 @@ def test_brute_force_box_cap(pipe, monkeypatch):
         graver_basis(pipe, "brute_force", bound=2)
 
 
+def test_completion_budget_is_inclusive(pipe, monkeypatch):
+    # The pipe-flow completion computes 45 normal forms.
+    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 45)
+    assert len(graver_basis(pipe)) == 5
+    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 44)
+    with pytest.raises(SizeLimitError,
+                       match=r"^Graver completion would compute more than 44 normal forms$"):
+        graver_basis(pipe)
+
+
 def test_graver_of_saturation_sensitive_matrix():
     # The rational kernel basis of [[2, 1, 1]] clears to an index-2
     # sublattice; a correct Graver computation still finds (0, 1, -1).

@@ -100,6 +100,36 @@ def test_kernel_membership_property(rows):
             assert sum(r * x for r, x in zip(row, vector)) == 0
 
 
+@st.composite
+def deficient_rows(draw):
+    """Up to 4x6 with entries in [-2, 2]; often a row is the sum of two others."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    if len(rows) >= 3 and draw(st.booleans()):
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(deficient_rows())
+def test_kernel_basis_matches_determinant_oracle(rows):
+    # The pivot columns, unit entries on the free columns and kernel membership
+    # fix the kernel basis uniquely, whatever elimination computes it.
+    columns = list(zip(*rows))
+    pivots: list[int] = []
+    for j, column in enumerate(columns):
+        if oracle_rank([columns[c] for c in pivots] + [column]) > len(pivots):
+            pivots.append(j)
+    free = tuple(j for j in range(len(columns)) if j not in pivots)
+    basis = linalg.kernel_basis(rows)
+    assert (basis.pivot_columns, basis.free_columns) == (tuple(pivots), free)
+    assert len(basis.vectors) == len(free)
+    for vector, own in zip(basis.vectors, free):
+        assert [vector[f] for f in free] == [int(f == own) for f in free]
+        assert all(sum(a * x for a, x in zip(row, vector)) == 0 for row in rows)
+
+
 # ---------------------------------------------------------------- primitive scaling
 
 
