@@ -9,73 +9,55 @@ embedding of the circuits reads ``set(circuit_basis(m)) <= graver_basis(m)``),
 and every power-product representation of a designated functional relation.
 All core arithmetic is exact rational; floating point appears only in
 numerical evaluation helpers.
+
+``import dimbasis`` loads no submodule: each public name and each submodule
+loads on first access, so a command-line run imports only what it uses.
 """
 
-from .enumeration import (
-    BasisSet,
-    BasisSetSystem,
-    CircuitSet,
-    basis_set_invariants,
-    circuit_basis,
-    circuit_invariant,
-    enumerate_basis_sets,
-    enumerate_circuit_sets,
-    is_circuit_set,
-    unified_basis,
-)
-from .errors import DEFAULT_MAX_N, SizeLimitError
-from .graver import conforms, graver_basis
-from .model import (
-    DimensionSystem,
-    DimensionalMatrix,
-    Invariant,
-    InvariantPair,
-    Quantity,
-    build_matrix,
-    evaluate_invariant,
-)
-from .problem import Problem, ProblemParseError, parse_dimension_expression, parse_problem
-from .representations import (
-    EquationSystem,
-    Representation,
-    admissible_basis_sets,
-    build_representation,
-    equation_system,
-    express_dependent_invariant,
+from importlib import import_module
+
+# Each public name with the submodule that defines it, resolved by the
+# module-level __getattr__ below (PEP 562).
+_EXPORTS = {
+    **dict.fromkeys((
+        "BasisSet", "BasisSetSystem", "CircuitSet", "basis_set_invariants", "circuit_basis",
+        "circuit_invariant", "enumerate_basis_sets", "enumerate_circuit_sets",
+        "is_circuit_set", "unified_basis",
+    ), "enumeration"),
+    **dict.fromkeys(("DEFAULT_MAX_N", "SizeLimitError"), "errors"),
+    **dict.fromkeys(("conforms", "graver_basis"), "graver"),
+    **dict.fromkeys((
+        "DimensionSystem", "DimensionalMatrix", "Invariant", "InvariantPair", "Quantity",
+        "build_matrix", "evaluate_invariant",
+    ), "model"),
+    **dict.fromkeys(
+        ("Problem", "ProblemParseError", "parse_dimension_expression", "parse_problem"),
+        "problem",
+    ),
+    **dict.fromkeys((
+        "EquationSystem", "Representation", "admissible_basis_sets", "build_representation",
+        "equation_system", "express_dependent_invariant",
+    ), "representations"),
+}
+_SUBMODULES = (
+    "cli", "enumeration", "errors", "graver", "linalg", "model", "problem", "render",
+    "representations",
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisSet",
-    "BasisSetSystem",
-    "CircuitSet",
-    "DEFAULT_MAX_N",
-    "DimensionSystem",
-    "DimensionalMatrix",
-    "EquationSystem",
-    "Invariant",
-    "InvariantPair",
-    "Problem",
-    "ProblemParseError",
-    "Quantity",
-    "Representation",
-    "SizeLimitError",
-    "admissible_basis_sets",
-    "basis_set_invariants",
-    "build_matrix",
-    "build_representation",
-    "circuit_basis",
-    "circuit_invariant",
-    "conforms",
-    "enumerate_basis_sets",
-    "enumerate_circuit_sets",
-    "equation_system",
-    "evaluate_invariant",
-    "express_dependent_invariant",
-    "graver_basis",
-    "is_circuit_set",
-    "parse_dimension_expression",
-    "parse_problem",
-    "unified_basis",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -16,7 +16,9 @@ from math import comb, gcd
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from . import enumeration, graver, render, representations
+# enumeration, graver and representations are imported by the handlers that
+# use them: a process compiles only its own subcommand's engine.
+from . import render
 from .errors import DEFAULT_MAX_N, SizeLimitError
 from .model import DimensionalMatrix, InvariantPair
 from .problem import Problem, ProblemParseError, parse_problem
@@ -130,6 +132,8 @@ def _cmd_rank(problem: Problem, args) -> _Output:
 
 
 def _cmd_index_sets(problem: Problem, args) -> _Output:
+    from . import enumeration
+
     if args.command == "basis-sets":
         sets = enumeration.enumerate_basis_sets(problem.matrix, args.max_n)
         key = "basisSets"
@@ -147,15 +151,20 @@ def _cmd_invariants(problem: Problem, args) -> _Output:
     matrix = problem.matrix
     header: dict = {}
     key = "invariants"
-    if args.command == "circuit-basis":
-        invariants = [p.canonical for p in enumeration.circuit_basis(matrix, args.max_n)]
-    elif args.command == "unified-basis":
-        invariants = enumeration.unified_basis(matrix, args.max_n)
-    else:
+    if args.command == "graver":
+        from . import graver
+
         method, bound = _parse_graver_method(args.graver_method)
         pairs = graver.graver_basis(matrix, method, bound=bound, max_n=args.max_n)
         invariants = sorted((p.canonical for p in pairs), key=lambda inv: inv.exponents)
         header, key = {"graverMethod": args.graver_method}, "graver"
+    else:
+        from . import enumeration
+
+        if args.command == "circuit-basis":
+            invariants = [p.canonical for p in enumeration.circuit_basis(matrix, args.max_n)]
+        else:
+            invariants = enumeration.unified_basis(matrix, args.max_n)
     return _Output(
         lambda: {**header, key: [render.invariant_json(inv, matrix.names) for inv in invariants]},
         lambda labels, style: [render.render_invariant(inv, labels, style) for inv in invariants],
@@ -180,6 +189,8 @@ def _cmd_representations(problem: Problem, args) -> _Output:
             excluded = tuple(matrix.index_of(x) for x in args.exclude.split(",") if x)
         except KeyError as e:
             raise ValueError(f"unknown excluded quantity {e.args[0]!r}") from None
+    from . import representations
+
     system = representations.equation_system(matrix, dependent, excluded, args.max_n)
     return _Output(
         lambda: {
@@ -195,6 +206,8 @@ def _cmd_representations(problem: Problem, args) -> _Output:
 
 def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
     """The internal property suite behind the ``check`` subcommand."""
+    from . import enumeration, graver
+
     matrix = problem.matrix
     rows = matrix.rows
     n, r = len(matrix.quantities), matrix.rank

@@ -28,14 +28,13 @@ back-substitutions for the basis-set reductions of ``representations`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import DEFAULT_MAX_N, SizeLimitError, check_max_n
-from .model import DimensionalMatrix, Invariant, InvariantPair
+from .model import DimensionalMatrix, Invariant, InvariantPair, _set, _Value
 
 # A subset costs one Fraction elimination, 0.55 ms in the rank-6 scan on 20
 # quantities (75 s for 137,979 subsets, Python 3.11) and more at higher rank, so
@@ -43,20 +42,21 @@ from .model import DimensionalMatrix, Invariant, InvariantPair
 _MAX_SUBSETS = 120_000
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(_Value):
     """Sorted, distinct column indices of a set of quantities.
 
     Serves both as a basis set (a maximal independent set, possibly empty)
     and as a circuit set (a minimal dependent set).
     """
 
+    __slots__ = ("indices",)
     indices: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(self.indices)))
-        if len(set(self.indices)) != len(self.indices):
+    def __init__(self, indices: Sequence[int]):
+        indices = tuple(sorted(indices))
+        if len(set(indices)) != len(indices):
             raise ValueError("indices must be distinct")
+        _set(self, "indices", indices)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
@@ -71,8 +71,7 @@ class IndexSet:
 BasisSet = CircuitSet = IndexSet
 
 
-@dataclass(frozen=True)
-class BasisSetSystem:
+class BasisSetSystem(_Value):
     """The reduced invariants attached to one basis set.
 
     There is one invariant per non-basis quantity, in quantity order, each
@@ -80,8 +79,13 @@ class BasisSetSystem:
     every other nonzero exponent lies in the basis.
     """
 
+    __slots__ = ("basis", "invariants")
     basis: BasisSet
     invariants: tuple[Invariant, ...]
+
+    def __init__(self, basis: BasisSet, invariants: tuple[Invariant, ...]):
+        _set(self, "basis", basis)
+        _set(self, "invariants", invariants)
 
 
 def _check_size(matrix: DimensionalMatrix, max_n: int, *stages: str) -> None:

@@ -14,13 +14,18 @@ quantities. Messages start with a field path (``dims[0]: ...``) that a caller
 prefixes with its own location.
 
 All values are immutable after construction and safe to share across threads.
+The value types here and in the other modules are slotted classes on one
+private base, not dataclasses: they compare equal when of the same class with
+equal fields, hash, print, pickle and copy as before, and raise
+``AttributeError`` on any assignment or deletion. ``dataclasses.replace``,
+``fields`` and ``asdict`` do not apply to them; build a new value instead.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from . import linalg
@@ -30,70 +35,122 @@ from . import linalg
 QUANTITY_NAME_RE = re.compile(r"[A-Za-z0-9_()./+'-]+")
 DIMENSION_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+# Sets a field of a value under construction, past the refusing __setattr__.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class DimensionSystem:
+
+class _Value:
+    """Base of the immutable value types; the fields are ``__slots__``, in order.
+
+    A subclass names its fields in ``__slots__`` and sets each one once, with
+    :data:`_set`, in its ``__init__``. Values are equal when they are of the
+    same class with equal fields. ``repr`` reads ``Name(field=value, ...)``,
+    and pickling and copying call the constructor on the fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The field tuple (the bare value for one field), read by one C call.
+        values = attrgetter(*cls.__slots__)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(values(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+        cls.__match_args__ = cls.__slots__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DimensionSystem(_Value):
     """Ordered base dimensions; the order fixes the row order of a matrix."""
 
+    __slots__ = ("names",)
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if not self.names:
+    def __init__(self, names: Sequence[str]):
+        names = tuple(names)
+        if not names:
             raise ValueError("dimensions: expected at least one dimension")
-        for k, name in enumerate(self.names):
+        for k, name in enumerate(names):
             if not DIMENSION_NAME_RE.fullmatch(name):
                 raise ValueError(f"dimensions[{k}]: invalid dimension name {name!r}")
-            if name in self.names[:k]:
+            if name in names[:k]:
                 raise ValueError(f"dimensions[{k}]: duplicate dimension {name!r}")
+        _set(self, "names", names)
 
     @property
     def size(self) -> int:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(_Value):
     """A named quantity with one integer exponent per base dimension.
 
     ``display`` is an optional LaTeX string used only for rendering; the
     engine never parses it.
     """
 
+    __slots__ = ("name", "dims", "display")
     name: str
     dims: tuple[int, ...]
-    display: str | None = None
+    display: str | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(self.dims))
-        if not QUANTITY_NAME_RE.fullmatch(self.name):
+    def __init__(self, name: str, dims: Sequence[int], display: str | None = None):
+        dims = tuple(dims)
+        if not QUANTITY_NAME_RE.fullmatch(name):
             raise ValueError(
-                f"name: invalid quantity name {self.name!r} "
+                f"name: invalid quantity name {name!r} "
                 "(letters, digits and _ ( ) . / + ' - are allowed, no whitespace)"
             )
-        for k, e in enumerate(self.dims):
+        for k, e in enumerate(dims):
             if not isinstance(e, int) or isinstance(e, bool):
                 raise ValueError(f"dims[{k}]: non-integer exponent {e!r}")
-        if self.display is not None:
-            if not isinstance(self.display, str):
+        if display is not None:
+            if not isinstance(display, str):
                 raise ValueError("display: expected a string")
             # A JSON \u escape can yield a lone surrogate, which no output can encode.
             try:
-                self.display.encode("utf-8")
+                display.encode("utf-8")
             except UnicodeEncodeError:
                 raise ValueError("display: not encodable as UTF-8") from None
+        _set(self, "name", name)
+        _set(self, "dims", dims)
+        _set(self, "display", display)
 
 
-@dataclass(frozen=True)
-class DimensionalMatrix:
+class DimensionalMatrix(_Value):
     """A validated dimensional matrix with its rank cached.
 
     Build instances through :func:`build_matrix`.
     """
 
+    __slots__ = ("system", "quantities", "rank")
     system: DimensionSystem
     quantities: tuple[Quantity, ...]
     rank: int
+
+    def __init__(self, system: DimensionSystem, quantities: tuple[Quantity, ...], rank: int):
+        _set(self, "system", system)
+        _set(self, "quantities", quantities)
+        _set(self, "rank", rank)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -156,8 +213,7 @@ def _check_roles(
             raise ValueError(f"excluded quantity {name!r} is already the dependent quantity")
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(_Value):
     """Exponent vector of a minimal invariant power product.
 
     Entries are coprime integers over the full quantity order (zeros where a
@@ -165,15 +221,17 @@ class Invariant:
     Invariants; see :class:`InvariantPair` for the canonical representative.
     """
 
+    __slots__ = ("exponents",)
     exponents: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        nonzero = [abs(e) for e in self.exponents if e]
+    def __init__(self, exponents: Sequence[int]):
+        exponents = tuple(exponents)
+        nonzero = [abs(e) for e in exponents if e]
         if not nonzero:
             raise ValueError("an invariant cannot have an all-zero exponent vector")
         if math.gcd(*nonzero) != 1:
-            raise ValueError(f"exponents are not relatively prime: {self.exponents}")
+            raise ValueError(f"exponents are not relatively prime: {exponents}")
+        _set(self, "exponents", exponents)
 
     @property
     def support(self) -> frozenset[int]:
@@ -188,18 +246,18 @@ class Invariant:
         return self if first > 0 else self.flipped()
 
 
-@dataclass(frozen=True)
-class InvariantPair:
+class InvariantPair(_Value):
     """An invariant together with its sign flip, stored canonically.
 
     Two pairs are equal exactly when their canonical exponent vectors are.
     Either orientation may be passed in; it is canonicalized on construction.
     """
 
+    __slots__ = ("canonical",)
     canonical: Invariant
 
-    def __post_init__(self):
-        object.__setattr__(self, "canonical", self.canonical.canonical())
+    def __init__(self, canonical: Invariant):
+        _set(self, "canonical", canonical.canonical())
 
     @property
     def exponents(self) -> tuple[int, ...]:

@@ -36,10 +36,18 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+import sys
 from typing import Sequence
 
-from .model import DimensionSystem, DimensionalMatrix, Quantity, _check_roles, build_matrix
+from .model import (
+    DimensionSystem,
+    DimensionalMatrix,
+    Quantity,
+    _check_roles,
+    _set,
+    _Value,
+    build_matrix,
+)
 
 _SIGNED_INT_RE = re.compile(r"[+-]?\d+")
 
@@ -48,13 +56,19 @@ class ProblemParseError(ValueError):
     """A malformed problem document; the message carries field context."""
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(_Value):
     """A parsed problem: the matrix plus optional analysis directives."""
 
+    __slots__ = ("matrix", "dependent", "excluded")
     matrix: DimensionalMatrix
     dependent: int | None
     excluded: tuple[int, ...]
+
+    def __init__(self, matrix: DimensionalMatrix, dependent: int | None,
+                 excluded: tuple[int, ...]):
+        _set(self, "matrix", matrix)
+        _set(self, "dependent", dependent)
+        _set(self, "excluded", excluded)
 
 
 def parse_dimension_expression(expr: str, dimensions: Sequence[str]) -> tuple[int, ...]:
@@ -75,10 +89,19 @@ def parse_dimension_expression(expr: str, dimensions: Sequence[str]) -> tuple[in
                 raise ProblemParseError(
                     f"non-integer exponent {tail!r} in expression {expr!r}"
                 )
-            exponents[ident] += int(tail)
+            try:
+                exponents[ident] += int(tail)
+            except ValueError:  # more digits than int() converts
+                raise ProblemParseError(
+                    f"exponent with {_too_long()} in expression {expr!r}"
+                ) from None
         else:
             exponents[ident] += 1
     return tuple(exponents[name] for name in dimensions)
+
+
+def _too_long() -> str:
+    return f"more than {sys.get_int_max_str_digits()} digits"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -127,6 +150,8 @@ def parse_problem(text: str) -> Problem:
         raise ProblemParseError(
             f"not valid JSON (line {e.lineno}, column {e.colno}): {e.msg}"
         ) from None
+    except ValueError:  # after JSONDecodeError, its subclass: an over-long integer
+        raise ProblemParseError(f"not valid JSON: an integer has {_too_long()}") from None
     except RecursionError:
         raise ProblemParseError("not valid JSON: nested too deeply") from None
     _require(isinstance(doc, dict), "top level: expected a JSON object")

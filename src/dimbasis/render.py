@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .model import DimensionalMatrix, Invariant
-from .representations import EquationSystem, Representation
+
+if TYPE_CHECKING:
+    from .representations import EquationSystem, Representation
 
 # Characters that make a bare name ambiguous inside a product or power.
 _TEXT_GROUP_CHARS = set("/*^·+-")

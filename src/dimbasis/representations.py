@@ -17,17 +17,15 @@ columns and may still occur inside invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .enumeration import BasisSet, _check_size, basis_set_invariants, enumerate_basis_sets
 from .errors import DEFAULT_MAX_N
-from .model import DimensionalMatrix, Invariant, _check_roles
+from .model import DimensionalMatrix, Invariant, _check_roles, _set, _Value
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(_Value):
     """One explicit power-product form of the functional relation.
 
     ``scaling`` holds the prefactor as (quantity index, exact rational
@@ -36,22 +34,54 @@ class Representation:
     example 3/2) are kept exact rather than raised to an integer power.
     """
 
+    __slots__ = (
+        "dependent", "basis", "scaling", "dependent_invariant", "active_invariants",
+        "function_name",
+    )
     dependent: int
     basis: BasisSet
     scaling: tuple[tuple[int, Fraction], ...]
     dependent_invariant: Invariant
     active_invariants: tuple[Invariant, ...]
-    function_name: str = "Phi"
+    function_name: str
+
+    def __init__(
+        self,
+        dependent: int,
+        basis: BasisSet,
+        scaling: tuple[tuple[int, Fraction], ...],
+        dependent_invariant: Invariant,
+        active_invariants: tuple[Invariant, ...],
+        function_name: str = "Phi",
+    ):
+        _set(self, "dependent", dependent)
+        _set(self, "basis", basis)
+        _set(self, "scaling", scaling)
+        _set(self, "dependent_invariant", dependent_invariant)
+        _set(self, "active_invariants", active_invariants)
+        _set(self, "function_name", function_name)
 
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(_Value):
     """All representations of one relation, viewed as simultaneous equations."""
 
+    __slots__ = ("dependent", "representations", "relation_name", "warning")
     dependent: int
     representations: tuple[Representation, ...]
-    relation_name: str = "Psi"
-    warning: str | None = None
+    relation_name: str
+    warning: str | None
+
+    def __init__(
+        self,
+        dependent: int,
+        representations: tuple[Representation, ...],
+        relation_name: str = "Psi",
+        warning: str | None = None,
+    ):
+        _set(self, "dependent", dependent)
+        _set(self, "representations", representations)
+        _set(self, "relation_name", relation_name)
+        _set(self, "warning", warning)
 
 
 def admissible_basis_sets(

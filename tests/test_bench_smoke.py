@@ -1,7 +1,9 @@
 """Smoke run of the benchmark harness on its smallest inputs.
 
 The traced run patches package functions by name, so this also fails when a
-function the benchmark reports on is renamed or deleted.
+function the benchmark reports on is renamed or deleted. The traced ``cli``
+child imports ``dimbasis.cli`` before it patches, so that run also fails when
+a module that ``cli`` loads on demand escapes the patching.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
-def test_enumerate_smoke_run(trace):
+@pytest.mark.parametrize("workload", ["enumerate", "cli"])
+def test_smoke_run(workload, trace):
     result = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "enumerate", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--smoke", "--trace", trace],
         cwd=REPO,
         capture_output=True,

@@ -193,6 +193,20 @@ def test_deeply_nested_json_exits_1(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("quantity", [
+    '{"name": "u", "dims": [LONG, 0, 0]}', '{"name": "u", "expr": "L^LONG"}',
+], ids=["json", "expr"])
+def test_overlong_integer_exits_1(capsys, tmp_path, quantity):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long.dim"
+    path.write_text('{"dimensions": ["L", "T", "M"], "quantities": [%s]}'
+                    % quantity.replace("LONG", "1" * (limit + 1)))
+    code, out, err = run(capsys, "rank", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {limit} digits" in err
+
+
 def test_non_utf8_file_exits_1(capsys, tmp_path):
     path = tmp_path / "latin1.dim"
     path.write_bytes((FIXTURE_DIR / "pipe.dim").read_bytes().replace(b'"mu"', b'"\xb5"'))

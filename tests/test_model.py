@@ -1,19 +1,28 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimbasis import (
+    BasisSetSystem,
+    DimensionalMatrix,
     DimensionSystem,
+    EquationSystem,
     Invariant,
     InvariantPair,
+    Problem,
     Quantity,
+    Representation,
     build_matrix,
     evaluate_invariant,
 )
+from dimbasis.enumeration import IndexSet
 from conftest import matrix_of
 
 
@@ -165,3 +174,118 @@ def test_kernel_invariants_evaluate_invariantly(dims_column, seed):
         assert evaluate_invariant(pair.canonical, scaled) == pytest.approx(
             evaluate_invariant(pair.canonical, values), rel=1e-9
         )
+
+
+# ------------------------------------------------------- value-type contract
+
+L = DimensionSystem(("L",))
+X, Y = Quantity("x", (1,)), Quantity("y", (1,))
+XY = build_matrix(L, (X, Y))
+LINE = Invariant((1, -1))
+REP = Representation(0, IndexSet((1,)), ((1, Fraction(1)),), LINE, ())
+
+# (type, field values in field order, repr) for each public value type.
+VALUES = [
+    (DimensionSystem, {"names": ("L",)}, "DimensionSystem(names=('L',))"),
+    (Quantity, {"name": "x", "dims": (1,), "display": None},
+     "Quantity(name='x', dims=(1,), display=None)"),
+    (DimensionalMatrix, {"system": L, "quantities": (X, Y), "rank": 1},
+     "DimensionalMatrix(system=DimensionSystem(names=('L',)), quantities=("
+     "Quantity(name='x', dims=(1,), display=None), "
+     "Quantity(name='y', dims=(1,), display=None)), rank=1)"),
+    (Invariant, {"exponents": (1, -1)}, "Invariant(exponents=(1, -1))"),
+    (InvariantPair, {"canonical": LINE},
+     "InvariantPair(canonical=Invariant(exponents=(1, -1)))"),
+    (IndexSet, {"indices": (0, 2)}, "IndexSet(indices=(0, 2))"),
+    (BasisSetSystem, {"basis": IndexSet((1,)), "invariants": (LINE,)},
+     "BasisSetSystem(basis=IndexSet(indices=(1,)), "
+     "invariants=(Invariant(exponents=(1, -1)),))"),
+    (Problem, {"matrix": XY, "dependent": 0, "excluded": ()},
+     f"Problem(matrix={XY!r}, dependent=0, excluded=())"),
+    (Representation,
+     {"dependent": 0, "basis": IndexSet((1,)), "scaling": ((1, Fraction(1)),),
+      "dependent_invariant": LINE, "active_invariants": (), "function_name": "Phi_1"},
+     "Representation(dependent=0, basis=IndexSet(indices=(1,)), "
+     "scaling=((1, Fraction(1, 1)),), dependent_invariant=Invariant(exponents=(1, -1)), "
+     "active_invariants=(), function_name='Phi_1')"),
+    (EquationSystem,
+     {"dependent": 0, "representations": (REP,), "relation_name": "Psi", "warning": "w"},
+     f"EquationSystem(dependent=0, representations=({REP!r},), relation_name='Psi', "
+     "warning='w')"),
+]
+VALUE_IDS = [cls.__name__ for cls, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=VALUE_IDS)
+def test_value_type_construction_equality_and_repr(cls, fields, text):
+    by_position, by_keyword = cls(*fields.values()), cls(**fields)
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert not by_position != by_keyword
+    assert by_position != tuple(fields.values())
+    assert [getattr(by_keyword, name) for name in fields] == list(fields.values())
+    assert repr(by_keyword) == text
+    assert cls.__match_args__ == tuple(fields)
+
+
+def test_value_type_defaults_and_normalisation():
+    assert Quantity("x", [1]) == Quantity("x", (1,), None)
+    assert DimensionSystem(["L"]).names == ("L",)
+    assert Invariant([1, -1]).exponents == (1, -1)
+    assert IndexSet([2, 0]).indices == (0, 2)
+    assert InvariantPair(Invariant((-1, 1))).canonical == LINE
+    assert REP.function_name == "Phi"
+    system = EquationSystem(0, (REP,))
+    assert (system.relation_name, system.warning) == ("Psi", None)
+
+
+def test_equality_needs_the_same_type():
+    assert LINE != InvariantPair(LINE)
+    assert InvariantPair(LINE) != LINE
+    assert Invariant((1, -1)) != Invariant((-1, 1))
+    assert InvariantPair(Invariant((1, -1))) == InvariantPair(Invariant((-1, 1)))
+    assert len({LINE, InvariantPair(LINE), Invariant((1, -1))}) == 2
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=VALUE_IDS)
+def test_value_types_refuse_assignment_and_deletion(cls, fields, text):
+    value = cls(**fields)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(**fields)
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=VALUE_IDS)
+def test_value_types_pickle_and_copy(cls, fields, text):
+    value = cls(**fields)
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(clone) is cls
+        assert clone == value and hash(clone) == hash(value)
+        assert repr(clone) == text
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: DimensionSystem(()), "dimensions: expected at least one dimension"),
+    (lambda: DimensionSystem(("2L",)), "dimensions[0]: invalid dimension name '2L'"),
+    (lambda: DimensionSystem(("L", "L")), "dimensions[1]: duplicate dimension 'L'"),
+    (lambda: Quantity("a b", (1,)),
+     "name: invalid quantity name 'a b' (letters, digits and _ ( ) . / + ' - are allowed, "
+     "no whitespace)"),
+    (lambda: Quantity("x", (1, True)), "dims[1]: non-integer exponent True"),
+    (lambda: Quantity("x", (1,), 3), "display: expected a string"),
+    (lambda: Quantity("x", (1,), "\ud800"), "display: not encodable as UTF-8"),
+    (lambda: Invariant((0, 0)), "an invariant cannot have an all-zero exponent vector"),
+    (lambda: Invariant((2, -4)), "exponents are not relatively prime: (2, -4)"),
+    (lambda: IndexSet((1, 1)), "indices must be distinct"),
+], ids=[
+    "no dimension", "bad dimension name", "repeated dimension", "bad quantity name",
+    "non-integer exponent", "non-string display", "unencodable display", "zero invariant",
+    "non-primitive invariant", "repeated index",
+])
+def test_value_type_validation_messages(make, message):
+    with pytest.raises(ValueError) as error:
+        make()
+    assert str(error.value) == message

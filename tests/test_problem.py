@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -84,6 +85,24 @@ def test_parse_directives():
 def test_parse_rejects_bad_json():
     with pytest.raises(ProblemParseError, match="line 1"):
         parse_problem("{nope")
+
+
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG = f"more than {sys.get_int_max_str_digits()} digits"
+
+
+def test_parse_rejects_an_integer_too_long_to_convert():
+    # json.loads raises a bare ValueError, not a JSONDecodeError, for it.
+    text = doc().replace("[1, 0, 0]", f"[{LONG}, 0, 0]")
+    with pytest.raises(ProblemParseError) as error:
+        parse_problem(text)
+    assert str(error.value) == f"not valid JSON: an integer has {TOO_LONG}"
+
+
+def test_expression_rejects_an_exponent_too_long_to_convert():
+    with pytest.raises(ProblemParseError) as error:
+        parse_dimension_expression(f"L^-{LONG}", ("L",))
+    assert str(error.value) == f"exponent with {TOO_LONG} in expression 'L^-{LONG}'"
 
 
 def test_parse_rejects_unknown_top_level_key():
