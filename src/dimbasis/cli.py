@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from math import comb, gcd
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import render
 from .errors import DEFAULT_MAX_N, SizeLimitError
 from .model import DimensionalMatrix, InvariantPair
-from .problem import Problem, ProblemParseError, parse_problem
+from .problem import Problem, ProblemParseError, _integer, _quantity_index, parse_problem
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,23 +30,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _integer(text: str) -> int | None:
-    """The one integer syntax of the options: ASCII digits after at most one sign.
-
-    None for any other text, such as ``++5``, ``1_0``, `` 2`` or non-ASCII digits,
-    which ``int`` alone would accept or reject with a message of its own.
-    """
-    if re.fullmatch(r"[+-]?[0-9]+", text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    return None
-
-
 def _positive_int(text: str) -> int:
     """The ``--max-n`` type: below 1, like a non-integer, is a usage error."""
-    value = _integer(text)
+    try:
+        value = _integer(text)
+    except ValueError:  # more digits than int() converts
+        value = None
     if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
@@ -95,7 +83,10 @@ def _parse_graver_method(text: str) -> tuple[str, int | None]:
     if text == "completion":
         return "completion", None
     if text.startswith("brute:"):
-        bound = _integer(text.removeprefix("brute:"))
+        try:
+            bound = _integer(text.removeprefix("brute:"))
+        except ValueError:  # more digits than int() converts
+            bound = None
         if bound is None:
             raise ValueError(f"bad brute-force bound in {text!r}")
         return "brute_force", bound
@@ -175,20 +166,16 @@ def _cmd_representations(problem: Problem, args) -> _Output:
     matrix = problem.matrix
     dependent = problem.dependent
     if args.dependent is not None:
-        try:
-            dependent = matrix.index_of(args.dependent)
-        except KeyError:
-            raise ValueError(f"unknown dependent quantity {args.dependent!r}") from None
+        dependent = _quantity_index(matrix, args.dependent, "--dependent")
     if dependent is None:
         raise ValueError(
             "no dependent quantity: set one in the file or pass --dependent"
         )
     excluded = problem.excluded
     if args.exclude is not None:
-        try:
-            excluded = tuple(matrix.index_of(x) for x in args.exclude.split(",") if x)
-        except KeyError as e:
-            raise ValueError(f"unknown excluded quantity {e.args[0]!r}") from None
+        excluded = tuple(
+            _quantity_index(matrix, x, "--exclude") for x in args.exclude.split(",") if x
+        )
     from . import representations
 
     system = representations.equation_system(matrix, dependent, excluded, args.max_n)

@@ -21,9 +21,11 @@ Terminology, with the quantity columns of a dimensional matrix as ground set:
 Enumeration is exhaustive over column subsets and therefore intended for
 desk-scale matrices; inputs are capped by ``max_n`` and, before a stage starts,
 by the work it will do: C(n, r) subsets for the basis sets, C(n, 1) + ... +
-C(n, r + 1) for the circuit scan, and C(n, r) * (n - r + 1) eliminations and
-back-substitutions for the basis-set reductions of ``representations`` and
-``check``. All outputs are in deterministic lexicographic order.
+C(n, r + 1) for the circuit scan, and C(n - b, r) * (n - r + 1) eliminations
+and back-substitutions for the basis-set reductions, where b counts the
+quantities barred from basis sets (none for ``check``; the dependent and
+excluded ones for ``representations``). All outputs are in deterministic
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -88,19 +90,20 @@ class BasisSetSystem(_Value):
         _set(self, "invariants", invariants)
 
 
-def _check_size(matrix: DimensionalMatrix, max_n: int, *stages: str) -> None:
+def _check_size(matrix: DimensionalMatrix, max_n: int, *stages: str, barred: int = 0) -> None:
     """Refuse the input before any of ``stages`` starts.
 
     Each stage is charged its eliminations: one per subset, and for the
-    reductions n - r + 1 per basis subset (one elimination over all n
-    columns, then one back-substitution per non-basis quantity).
+    reductions n - r + 1 per basis subset that avoids the ``barred``
+    quantities (one elimination over all n columns, then one
+    back-substitution per non-basis quantity).
     """
     n, r = len(matrix.quantities), matrix.rank
     check_max_n(n, max_n)
     costs = {
         "basis-set enumeration": (comb(n, r), "visit {} column subsets"),
         "circuit scan": (sum(comb(n, k) for k in range(1, r + 2)), "visit {} column subsets"),
-        "basis-set reductions": (comb(n, r) * (n - r + 1), "run {} eliminations"),
+        "basis-set reductions": (comb(n - barred, r) * (n - r + 1), "run {} eliminations"),
     }
     for stage in stages:
         cost, work = costs[stage]

@@ -23,13 +23,15 @@ Dimension expression grammar:
     term := IDENT ('^' SIGNED_INT)?
 
 An omitted exponent means 1, IDENT must be a declared dimension, and repeated
-IDENTs sum their exponents. Exponents must be integers.
+IDENTs sum their exponents. SIGNED_INT is ASCII digits after at most one sign,
+the integer syntax of the command-line options too.
 
 This module owns only the document shape: JSON types, unknown fields, exactly
 one of ``dims``/``expr``, the expression grammar, and the names that
-``dependent`` and ``excluded`` look up. The value rules (names, exponents,
-``display``, repeated quantities, the roles) belong to :mod:`dimbasis.model`;
-a ``ValueError`` from there is re-raised with its document path in front.
+``dependent`` and ``excluded`` look up, in the file or on the command line.
+The value rules (names, exponents, ``display``, repeated quantities, the roles)
+belong to :mod:`dimbasis.model`; a ``ValueError`` from there is re-raised with
+its document path in front.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from .model import (
     _Value,
     build_matrix,
 )
-
-_SIGNED_INT_RE = re.compile(r"[+-]?\d+")
 
 
 class ProblemParseError(ValueError):
@@ -84,24 +84,37 @@ def parse_dimension_expression(expr: str, dimensions: Sequence[str]) -> tuple[in
         ident, caret, tail = token.partition("^")
         if ident not in exponents:
             raise ProblemParseError(f"unknown dimension {ident!r} in expression {expr!r}")
+        power = 1
         if caret:
-            if not _SIGNED_INT_RE.fullmatch(tail):
-                raise ProblemParseError(
-                    f"non-integer exponent {tail!r} in expression {expr!r}"
-                )
             try:
-                exponents[ident] += int(tail)
+                power = _integer(tail)
             except ValueError:  # more digits than int() converts
                 raise ProblemParseError(
                     f"exponent with {_too_long()} in expression {expr!r}"
                 ) from None
-        else:
-            exponents[ident] += 1
+            _require(power is not None, f"non-integer exponent {tail!r} in expression {expr!r}")
+        exponents[ident] += power
     return tuple(exponents[name] for name in dimensions)
+
+
+def _integer(text: str) -> int | None:
+    """The one integer syntax of exponents and options: ASCII digits after at most one sign.
+
+    None for any other text, such as ``++5``, ``1_0``, `` 2`` or non-ASCII digits,
+    which ``int`` alone would accept or reject with a message of its own. Text
+    with more digits than ``int()`` converts raises its ``ValueError``.
+    """
+    return int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else None
 
 
 def _too_long() -> str:
     return f"more than {sys.get_int_max_str_digits()} digits"
+
+
+def _quantity_index(matrix: DimensionalMatrix, name: str, where: str) -> int:
+    """The column of quantity ``name``; ``where`` is the field or flag that named it."""
+    _require(name in matrix.names, f"{where}: unknown quantity {name!r}")
+    return matrix.names.index(name)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -173,21 +186,17 @@ def parse_problem(text: str) -> Problem:
         _parse_quantity(entry, k, system.names) for k, entry in enumerate(raw_quantities)
     ]
     matrix = _at("", build_matrix, system, quantities)
-    names = list(matrix.names)
 
     dependent: int | None = None
     dep_name = doc.get("dependent")
     if dep_name is not None:
         _require(isinstance(dep_name, str), "dependent: expected a string")
-        _require(dep_name in names, f"dependent: unknown quantity {dep_name!r}")
-        dependent = names.index(dep_name)
+        dependent = _quantity_index(matrix, dep_name, "dependent")
     raw_excluded = [] if doc.get("excluded") is None else doc["excluded"]
     _require(
         isinstance(raw_excluded, list) and all(isinstance(x, str) for x in raw_excluded),
         "excluded: expected a list of quantity names",
     )
-    for x in raw_excluded:
-        _require(x in names, f"excluded: unknown quantity {x!r}")
-    excluded = tuple(names.index(x) for x in raw_excluded)
+    excluded = tuple(_quantity_index(matrix, x, "excluded") for x in raw_excluded)
     _at("", _check_roles, matrix, dependent, excluded)
     return Problem(matrix=matrix, dependent=dependent, excluded=excluded)

@@ -143,12 +143,15 @@ def equation_system(
 
     An empty system carries a warning instead of raising: having no
     admissible basis set is an analysis outcome, not a usage error. The
-    reductions are charged against the subset cap before the enumeration
+    reductions of the basis subsets that avoid the dependent and excluded
+    quantities are charged against the subset cap before the enumeration
     starts.
     """
     excluded = tuple(excluded)
     _check_roles(matrix, dependent, excluded)
-    _check_size(matrix, max_n, "basis-set enumeration", "basis-set reductions")
+    _check_size(
+        matrix, max_n, "basis-set enumeration", "basis-set reductions", barred=1 + len(excluded)
+    )
     bases = admissible_basis_sets(matrix, dependent, excluded, max_n)
     if not bases:
         name = matrix.quantities[dependent].name

@@ -207,6 +207,20 @@ def test_overlong_integer_exits_1(capsys, tmp_path, quantity):
     assert f"more than {limit} digits" in err
 
 
+@pytest.mark.parametrize("exponent", ["\u0662", "\uff13", "++5", "1_0"])
+def test_exponent_outside_the_integer_syntax_exits_1(capsys, tmp_path, exponent):
+    path = tmp_path / "exponent.dim"
+    path.write_text(json.dumps({"dimensions": ["L"], "quantities": [
+        {"name": "a", "expr": "L"}, {"name": "b", "expr": f"L^{exponent}"},
+    ]}))
+    code, out, err = run(capsys, "basis-sets", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: quantities[1].expr: non-integer exponent {exponent!r} "
+        f"in expression 'L^{exponent}'\n"
+    )
+
+
 def test_non_utf8_file_exits_1(capsys, tmp_path):
     path = tmp_path / "latin1.dim"
     path.write_bytes((FIXTURE_DIR / "pipe.dim").read_bytes().replace(b'"mu"', b'"\xb5"'))
@@ -258,17 +272,21 @@ def test_subset_cap_exits_2(capsys, monkeypatch, tmp_path, command, stage, subse
     )
 
 
-@pytest.mark.parametrize("command", ["representations", "check"])
-def test_reduction_cap_exits_2(capsys, monkeypatch, tmp_path, command):
+@pytest.mark.parametrize("command, eliminations", [
+    ("representations", 186048), ("check", 248064),
+], ids=["representations", "check"])
+def test_reduction_cap_exits_2(capsys, monkeypatch, tmp_path, command, eliminations):
     from dimbasis import enumeration
 
     # 15,504 basis subsets and a 60,459-subset scan are under the cap, but
-    # 16 eliminations per basis subset are not.
+    # 16 eliminations per basis subset are not: C(20, 5) subsets for check,
+    # the C(19, 5) that avoid the dependent quantity for representations.
     code, out, err = run_over_cap(capsys, monkeypatch, tmp_path, command, rank=5)
     assert (code, out) == (2, "")
     cap = enumeration._MAX_SUBSETS
     assert err == (
-        f"error: basis-set reductions would run 248064 eliminations, exceeding the cap of {cap}\n"
+        f"error: basis-set reductions would run {eliminations} eliminations, "
+        f"exceeding the cap of {cap}\n"
     )
 
 
@@ -332,13 +350,16 @@ BAD_MAX_N = "argument --max-n: expected a positive integer, got "
      "bad brute-force bound in 'brute: 2'"),
     (["check", "--input", PIPE, "--graver-method", "brute:\u0662"],
      "bad brute-force bound in 'brute:\u0662'"),
+    (["graver", "--input", PIPE, "--graver-method", "brute:" + "9" * 5000],
+     "bad brute-force bound in 'brute:999"),
     (["graver", "--input", PIPE, "--graver-method", "brute:0"],
      "error: brute-force bound must be at least 1\n"),
 ], ids=["unknown flag", "missing input", "bad max-n", "negative max-n", "zero max-n",
         "zero max-n on an enumeration", "negative max-n on an enumeration", "bad format",
         "unknown command", "flag of another command", "doubled sign max-n",
         "non-ASCII digit max-n", "max-n beyond int digit limit", "underscore bound",
-        "space in bound", "non-ASCII digit bound", "zero bound"])
+        "space in bound", "non-ASCII digit bound", "bound beyond int digit limit",
+        "zero bound"])
 def test_usage_error_prints_one_error_line(capsys, argv, cause):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -354,7 +375,24 @@ def test_help_exits_0(capsys):
 def test_unknown_dependent_exits_1(capsys):
     code, _, err = run(capsys, "representations", "--input", PIPE, "--dependent", "xyz")
     assert code == 1
-    assert "unknown dependent" in err
+    assert err == "error: --dependent: unknown quantity 'xyz'\n"
+
+
+@pytest.mark.parametrize("field, directives, argv", [
+    ("dependent", {"dependent": "nope"}, []),
+    ("excluded", {"excluded": ["nope"]}, []),
+    ("--dependent", {}, ["--dependent", "nope"]),
+    ("--exclude", {}, ["--exclude", "rho,nope"]),
+], ids=["dependent", "excluded", "--dependent", "--exclude"])
+def test_unknown_quantity_reads_alike_in_the_file_and_the_flags(
+    capsys, tmp_path, field, directives, argv
+):
+    doc = json.loads((FIXTURE_DIR / "pipe.dim").read_text(encoding="utf-8"))
+    path = tmp_path / "pipe.dim"
+    path.write_text(json.dumps({**doc, **directives}))
+    code, out, err = run(capsys, "representations", "--input", str(path), *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {field}: unknown quantity 'nope'\n"
 
 
 def test_check_violation_exits_3(capsys, monkeypatch):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dimbasis import (
     DimensionSystem,
@@ -31,6 +34,9 @@ def doc(**overrides):
 
 # --------------------------------------------------------------- grammar
 
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG = f"more than {sys.get_int_max_str_digits()} digits"
+
 
 def test_expression_velocity():
     assert parse_dimension_expression("L T^-1", ("L", "T", "M")) == (1, -1, 0)
@@ -48,6 +54,33 @@ def test_expression_zero_exponent():
 def test_expression_rejects_fractional_exponent():
     with pytest.raises(ProblemParseError, match="non-integer"):
         parse_dimension_expression("L^1.5", ("L",))
+
+
+@pytest.mark.parametrize("exponent", ["\u0662", "\uff13", "++5", "1_0"])
+def test_expression_exponents_are_ascii_digits_after_one_sign(exponent):
+    # int() alone would read all but ++5.
+    with pytest.raises(ProblemParseError) as error:
+        parse_dimension_expression(f"L^{exponent}", ("L",))
+    assert str(error.value) == f"non-integer exponent {exponent!r} in expression 'L^{exponent}'"
+
+
+# No whitespace or '*', which would split "L^t" into more than one term.
+exponent_texts = st.one_of(
+    st.from_regex(r"[+-]?[0-9]+", fullmatch=True),
+    st.text(st.characters(categories=("Nd",)) | st.sampled_from("+-_.")),
+    st.text(st.characters(exclude_characters="*", exclude_categories=("Cc", "Cs", "Z"))),
+    st.sampled_from(["9" * sys.get_int_max_str_digits(), "-" + LONG, "+" + LONG]),
+)
+
+
+@given(exponent_texts)
+def test_expression_exponent_syntax(t):
+    limit = sys.get_int_max_str_digits()
+    if re.fullmatch(r"[+-]?[0-9]+", t) and (limit == 0 or len(t.lstrip("+-")) <= limit):
+        assert parse_dimension_expression(f"L^{t}", ("L",)) == (int(t),)
+    else:
+        with pytest.raises(ProblemParseError):
+            parse_dimension_expression(f"L^{t}", ("L",))
 
 
 def test_expression_rejects_unknown_dimension():
@@ -85,10 +118,6 @@ def test_parse_directives():
 def test_parse_rejects_bad_json():
     with pytest.raises(ProblemParseError, match="line 1"):
         parse_problem("{nope")
-
-
-LONG = "1" * (sys.get_int_max_str_digits() + 1)
-TOO_LONG = f"more than {sys.get_int_max_str_digits()} digits"
 
 
 def test_parse_rejects_an_integer_too_long_to_convert():

@@ -98,6 +98,18 @@ def test_pipe_equation_system(pipe):
     ]
 
 
+def test_reductions_are_charged_for_admissible_subsets_only(pipe, monkeypatch):
+    from dimbasis import SizeLimitError, enumeration
+
+    # C(5, 3) = 10 basis subsets under the cap; of them C(4, 3) = 4 avoid the
+    # dependent quantity, and each is charged n - r + 1 = 3 eliminations.
+    monkeypatch.setattr(enumeration, "_MAX_SUBSETS", 12)
+    assert len(equation_system(pipe, 0).representations) == 4
+    monkeypatch.setattr(enumeration, "_MAX_SUBSETS", 11)
+    with pytest.raises(SizeLimitError, match="run 12 eliminations, exceeding the cap of 11"):
+        equation_system(pipe, 0)
+
+
 def test_falling_body_equation_system(falling_body):
     system = equation_system(falling_body, 0, (4,))
     assert len(system.representations) == 3
