@@ -24,11 +24,10 @@ _EXPORTS = {
         "circuit_invariant", "enumerate_basis_sets", "enumerate_circuit_sets",
         "is_circuit_set", "unified_basis",
     ), "enumeration"),
-    **dict.fromkeys(("DEFAULT_MAX_N", "SizeLimitError"), "errors"),
     **dict.fromkeys(("conforms", "graver_basis"), "graver"),
     **dict.fromkeys((
         "DimensionSystem", "DimensionalMatrix", "Invariant", "InvariantPair", "Quantity",
-        "build_matrix", "evaluate_invariant",
+        "SizeLimitError", "build_matrix", "evaluate_invariant",
     ), "model"),
     **dict.fromkeys(
         ("Problem", "ProblemParseError", "parse_dimension_expression", "parse_problem"),
@@ -40,8 +39,7 @@ _EXPORTS = {
     ), "representations"),
 }
 _SUBMODULES = (
-    "cli", "enumeration", "errors", "graver", "linalg", "model", "problem", "render",
-    "representations",
+    "cli", "enumeration", "graver", "linalg", "model", "problem", "render", "representations",
 )
 
 __version__ = "0.1.0"

@@ -18,8 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 # enumeration, graver and representations are imported by the handlers that
 # use them: a process compiles only its own subcommand's engine.
 from . import render
-from .errors import DEFAULT_MAX_N, SizeLimitError
-from .model import DimensionalMatrix, InvariantPair
+from .model import DimensionalMatrix, InvariantPair, SizeLimitError
 from .problem import Problem, ProblemParseError, _integer, _quantity_index, parse_problem
 
 
@@ -60,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-n",
             type=_positive_int,
-            default=DEFAULT_MAX_N,
-            help=f"quantity-count cap for enumeration (default: {DEFAULT_MAX_N})",
+            default=20,
+            help="quantity-count cap for enumeration (default: %(default)s)",
         )
         if name == "representations":
             p.add_argument("--dependent", help="dependent quantity (overrides the file)")
@@ -126,10 +125,10 @@ def _cmd_index_sets(problem: Problem, args) -> _Output:
     from . import enumeration
 
     if args.command == "basis-sets":
-        sets = enumeration.enumerate_basis_sets(problem.matrix, args.max_n)
+        sets = enumeration.enumerate_basis_sets(problem.matrix)
         key = "basisSets"
     else:
-        sets = enumeration.enumerate_circuit_sets(problem.matrix, args.max_n)
+        sets = enumeration.enumerate_circuit_sets(problem.matrix)
         key = "circuits"
     return _Output(
         lambda: {key: [list(s.indices) for s in sets]},
@@ -146,16 +145,16 @@ def _cmd_invariants(problem: Problem, args) -> _Output:
         from . import graver
 
         method, bound = _parse_graver_method(args.graver_method)
-        pairs = graver.graver_basis(matrix, method, bound=bound, max_n=args.max_n)
+        pairs = graver.graver_basis(matrix, method, bound=bound)
         invariants = sorted((p.canonical for p in pairs), key=lambda inv: inv.exponents)
         header, key = {"graverMethod": args.graver_method}, "graver"
     else:
         from . import enumeration
 
         if args.command == "circuit-basis":
-            invariants = [p.canonical for p in enumeration.circuit_basis(matrix, args.max_n)]
+            invariants = [p.canonical for p in enumeration.circuit_basis(matrix)]
         else:
-            invariants = enumeration.unified_basis(matrix, args.max_n)
+            invariants = enumeration.unified_basis(matrix)
     return _Output(
         lambda: {**header, key: [render.invariant_json(inv, matrix.names) for inv in invariants]},
         lambda labels, style: [render.render_invariant(inv, labels, style) for inv in invariants],
@@ -178,7 +177,7 @@ def _cmd_representations(problem: Problem, args) -> _Output:
         )
     from . import representations
 
-    system = representations.equation_system(matrix, dependent, excluded, args.max_n)
+    system = representations.equation_system(matrix, dependent, excluded)
     return _Output(
         lambda: {
             "excluded": [matrix.names[j] for j in excluded],
@@ -200,18 +199,19 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
     n, r = len(matrix.quantities), matrix.rank
     method, bound = _parse_graver_method(args.graver_method)
 
-    # Every capped stage is charged before any starts, so an input over the
-    # subset cap fails before the uncapped Graver completion.
+    # Every subset-capped stage is charged before any starts, so an input over
+    # the subset cap fails before the Graver completion, whose normal-form cap
+    # is reached only after it has run.
     enumeration._check_size(
-        matrix, args.max_n, "circuit scan", "basis-set enumeration", "basis-set reductions"
+        matrix, "circuit scan", "basis-set enumeration", "basis-set reductions"
     )
-    graver_pairs = graver.graver_basis(matrix, method, bound=bound, max_n=args.max_n)
+    graver_pairs = graver.graver_basis(matrix, method, bound=bound)
     # The unified basis is the canonical circuit basis: one circuit scan.
-    unified = enumeration.unified_basis(matrix, args.max_n)
+    unified = enumeration.unified_basis(matrix)
     circuit_pairs = {InvariantPair(inv) for inv in unified}
     systems = [
         enumeration.basis_set_invariants(matrix, b)
-        for b in enumeration.enumerate_basis_sets(matrix, args.max_n)
+        for b in enumeration.enumerate_basis_sets(matrix)
     ]
     # Counted as emitted: the circuit basis, the basis-set reductions, the unified basis.
     emitted = [*unified, *(inv for s in systems for inv in s.invariants), *unified]
@@ -307,6 +307,13 @@ def _run(argv: Sequence[str] | None, out, err) -> int:
         args = build_parser().parse_args(argv)
         problem = parse_problem(_read_input(args.input))
         matrix = problem.matrix
+        # The library refuses each stage by the work it will do; the quantity
+        # cap is the command line's own guard. rank runs one elimination.
+        n = len(matrix.quantities)
+        if args.command != "rank" and n > args.max_n:
+            raise SizeLimitError(
+                f"matrix has {n} quantities, exceeding the configured cap of {args.max_n}"
+            )
         result = _COMMANDS[args.command](problem, args)
         if result.warning:
             print(f"warning: {result.warning}", file=err)

@@ -19,13 +19,13 @@ Terminology, with the quantity columns of a dimensional matrix as ground set:
   and keeps each circuit's line: sets, circuit basis and unified basis alike.
 
 Enumeration is exhaustive over column subsets and therefore intended for
-desk-scale matrices; inputs are capped by ``max_n`` and, before a stage starts,
-by the work it will do: C(n, r) subsets for the basis sets, C(n, 1) + ... +
-C(n, r + 1) for the circuit scan, and C(n - b, r) * (n - r + 1) eliminations
-and back-substitutions for the basis-set reductions, where b counts the
-quantities barred from basis sets (none for ``check``; the dependent and
-excluded ones for ``representations``). All outputs are in deterministic
-lexicographic order.
+desk-scale matrices. There is no quantity cap: before a stage starts, an input
+is refused when the work the stage will do exceeds its budget, C(n, r) subsets
+for the basis sets, C(n, 1) + ... + C(n, r + 1) for the circuit scan, and
+C(n - b, r) * (n - r + 1) eliminations and back-substitutions for the
+basis-set reductions, where b counts the quantities barred from basis sets
+(none for ``check``; the dependent and excluded ones for ``representations``).
+All outputs are in deterministic lexicographic order.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ from math import comb
 from typing import Iterator, Sequence
 
 from . import linalg
-from .errors import DEFAULT_MAX_N, SizeLimitError, check_max_n
-from .model import DimensionalMatrix, Invariant, InvariantPair, _set, _Value
+from .model import DimensionalMatrix, Invariant, InvariantPair, SizeLimitError, _set, _Value
 
 # A subset costs one Fraction elimination, 0.55 ms in the rank-6 scan on 20
 # quantities (75 s for 137,979 subsets, Python 3.11) and more at higher rank, so
-# a stage refused within DEFAULT_MAX_N would have run over a minute.
+# the cap refuses a stage of over a minute's subsets at that rate.
 _MAX_SUBSETS = 120_000
 
 
@@ -90,7 +89,7 @@ class BasisSetSystem(_Value):
         _set(self, "invariants", invariants)
 
 
-def _check_size(matrix: DimensionalMatrix, max_n: int, *stages: str, barred: int = 0) -> None:
+def _check_size(matrix: DimensionalMatrix, *stages: str, barred: int = 0) -> None:
     """Refuse the input before any of ``stages`` starts.
 
     Each stage is charged its eliminations: one per subset, and for the
@@ -99,7 +98,6 @@ def _check_size(matrix: DimensionalMatrix, max_n: int, *stages: str, barred: int
     back-substitution per non-basis quantity).
     """
     n, r = len(matrix.quantities), matrix.rank
-    check_max_n(n, max_n)
     costs = {
         "basis-set enumeration": (comb(n, r), "visit {} column subsets"),
         "circuit scan": (sum(comb(n, k) for k in range(1, r + 2)), "visit {} column subsets"),
@@ -141,16 +139,14 @@ def _circuit_line(matrix: DimensionalMatrix, subset: Sequence[int]) -> tuple[int
     return tuple(line)
 
 
-def enumerate_basis_sets(
-    matrix: DimensionalMatrix, max_n: int = DEFAULT_MAX_N
-) -> list[BasisSet]:
+def enumerate_basis_sets(matrix: DimensionalMatrix) -> list[BasisSet]:
     """All size-r independent column subsets, lexicographically ordered.
 
     With rank 0 the single empty basis set is returned: every quantity is
     then dimensionless on its own.
     """
     n, r = len(matrix.quantities), matrix.rank
-    _check_size(matrix, max_n, "basis-set enumeration")
+    _check_size(matrix, "basis-set enumeration")
     return [
         BasisSet(subset)
         for subset in combinations(range(n), r)
@@ -166,12 +162,12 @@ def is_circuit_set(matrix: DimensionalMatrix, subset: Sequence[int]) -> bool:
     return _circuit_line(matrix, subset) is not None
 
 
-def _circuit_scan(matrix: DimensionalMatrix, max_n: int) -> list[tuple[tuple[int, ...], tuple]]:
+def _circuit_scan(matrix: DimensionalMatrix) -> list[tuple[tuple[int, ...], tuple]]:
     """Each circuit set with its line, by index tuple: one elimination per subset.
 
     A circuit has at most rank + 1 members, so larger subsets are not scanned.
     """
-    _check_size(matrix, max_n, "circuit scan")
+    _check_size(matrix, "circuit scan")
     return sorted(
         (subset, line)
         for size in range(1, matrix.rank + 2)
@@ -180,11 +176,9 @@ def _circuit_scan(matrix: DimensionalMatrix, max_n: int) -> list[tuple[tuple[int
     )
 
 
-def enumerate_circuit_sets(
-    matrix: DimensionalMatrix, max_n: int = DEFAULT_MAX_N
-) -> list[CircuitSet]:
+def enumerate_circuit_sets(matrix: DimensionalMatrix) -> list[CircuitSet]:
     """All circuit sets, sorted lexicographically by index tuple."""
-    return [CircuitSet(subset) for subset, _ in _circuit_scan(matrix, max_n)]
+    return [CircuitSet(subset) for subset, _ in _circuit_scan(matrix)]
 
 
 def circuit_invariant(matrix: DimensionalMatrix, circuit: CircuitSet) -> InvariantPair:
@@ -195,14 +189,12 @@ def circuit_invariant(matrix: DimensionalMatrix, circuit: CircuitSet) -> Invaria
     return InvariantPair(Invariant(line))
 
 
-def circuit_basis(
-    matrix: DimensionalMatrix, max_n: int = DEFAULT_MAX_N
-) -> list[InvariantPair]:
+def circuit_basis(matrix: DimensionalMatrix) -> list[InvariantPair]:
     """One invariant pair per circuit set, in circuit-set order: its scanned line.
 
     One elimination per scanned subset; between n - rank and C(n, rank + 1) pairs.
     """
-    return [InvariantPair(Invariant(line)) for _, line in _circuit_scan(matrix, max_n)]
+    return [InvariantPair(Invariant(line)) for _, line in _circuit_scan(matrix)]
 
 
 def basis_set_invariants(matrix: DimensionalMatrix, basis: BasisSet) -> BasisSetSystem:
@@ -226,14 +218,12 @@ def basis_set_invariants(matrix: DimensionalMatrix, basis: BasisSet) -> BasisSet
     return BasisSetSystem(basis=basis, invariants=invariants)
 
 
-def unified_basis(
-    matrix: DimensionalMatrix, max_n: int = DEFAULT_MAX_N
-) -> list[Invariant]:
+def unified_basis(matrix: DimensionalMatrix) -> list[Invariant]:
     """Union of all basis-set invariants, deduplicated at pair level.
 
     By the fundamental-circuit theorem (see the module docstring) this union
     is exactly the circuit basis, so it is taken from there. Each pair is
     reported once, in its canonical orientation, sorted by exponent vector.
     """
-    pairs = circuit_basis(matrix, max_n)
+    pairs = circuit_basis(matrix)
     return sorted((p.canonical for p in pairs), key=lambda inv: inv.exponents)

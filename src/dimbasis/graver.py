@@ -22,7 +22,7 @@ Two methods are provided:
   the minimal ones. Exact for every element within the bound, but blind to
   Graver elements with larger entries; useful as an independent oracle. The
   box holds (2*bound + 1)^n points; one of more than :data:`MAX_BOX_POINTS`
-  raises :class:`~dimbasis.errors.SizeLimitError` before the search starts.
+  raises :class:`~dimbasis.model.SizeLimitError` before the search starts.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import DEFAULT_MAX_N, SizeLimitError, check_max_n
-from .model import DimensionalMatrix, Invariant, InvariantPair
+from .model import DimensionalMatrix, Invariant, InvariantPair, SizeLimitError
 
 Vector = tuple[int, ...]
 
@@ -113,7 +112,6 @@ def graver_basis(
     method: str = "completion",
     *,
     bound: int | None = None,
-    max_n: int = DEFAULT_MAX_N,
 ) -> frozenset[InvariantPair]:
     """Compute the Graver basis of the matrix kernel.
 
@@ -123,14 +121,12 @@ def graver_basis(
             requires ``bound`` and may miss elements beyond it).
         bound: entry bound for the brute-force method, at least 1; the box
             of (2*bound + 1)^n points may hold at most ``MAX_BOX_POINTS``.
-        max_n: quantity-count cap.
 
     Returns:
         The basis as a frozenset of invariant pairs, the type the circuit
         basis uses; each pair stands for both of its orientations.
     """
     n = len(matrix.quantities)
-    check_max_n(n, max_n)
     rows = matrix.rows
     if method == "completion":
         vectors = _completion(rows)

@@ -39,6 +39,10 @@ DIMENSION_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _set = object.__setattr__
 
 
+class SizeLimitError(Exception):
+    """Raised when an input exceeds a size cap; the message names the size and the cap."""
+
+
 class _Value:
     """Base of the immutable value types; the fields are ``__slots__``, in order.
 

@@ -51,6 +51,8 @@ def _latex_factor(label: str, exponent: int | Fraction) -> str:
         return label
     if "/" in label or " " in label:
         label = rf"\left({label}\right)"
+    elif "^" in label:  # a second bare superscript is a TeX error
+        label = f"{{{label}}}"
     return f"{label}^{{{_format_exponent_latex(exponent)}}}"
 
 

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from . import linalg
 from .enumeration import BasisSet, _check_size, basis_set_invariants, enumerate_basis_sets
-from .errors import DEFAULT_MAX_N
 from .model import DimensionalMatrix, Invariant, _check_roles, _set, _Value
 
 
@@ -88,7 +87,6 @@ def admissible_basis_sets(
     matrix: DimensionalMatrix,
     dependent: int,
     excluded: tuple[int, ...] = (),
-    max_n: int = DEFAULT_MAX_N,
 ) -> list[BasisSet]:
     """Basis sets containing neither the dependent nor any excluded quantity."""
     excluded = tuple(excluded)
@@ -96,7 +94,7 @@ def admissible_basis_sets(
     barred = {dependent, *excluded}
     return [
         basis
-        for basis in enumerate_basis_sets(matrix, max_n)
+        for basis in enumerate_basis_sets(matrix)
         if not barred.intersection(basis.indices)
     ]
 
@@ -137,7 +135,6 @@ def equation_system(
     matrix: DimensionalMatrix,
     dependent: int,
     excluded: tuple[int, ...] = (),
-    max_n: int = DEFAULT_MAX_N,
 ) -> EquationSystem:
     """All representations for a dependent quantity, numbered Phi_1, Phi_2, ...
 
@@ -150,9 +147,9 @@ def equation_system(
     excluded = tuple(excluded)
     _check_roles(matrix, dependent, excluded)
     _check_size(
-        matrix, max_n, "basis-set enumeration", "basis-set reductions", barred=1 + len(excluded)
+        matrix, "basis-set enumeration", "basis-set reductions", barred=1 + len(excluded)
     )
-    bases = admissible_basis_sets(matrix, dependent, excluded, max_n)
+    bases = admissible_basis_sets(matrix, dependent, excluded)
     if not bases:
         name = matrix.quantities[dependent].name
         return EquationSystem(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -113,3 +114,13 @@ def falling_body() -> DimensionalMatrix:
 @pytest.fixture
 def two_body() -> DimensionalMatrix:
     return two_body_matrix()
+
+
+@pytest.fixture
+def wide() -> DimensionalMatrix:
+    # 21 quantities, one over the command line's default cap, at rank 2: every
+    # stage is cheap, so no work budget but the brute-force box refuses it.
+    rng = random.Random(1)
+    return matrix_of(
+        ("L", "T"), tuple((f"q{j}", (rng.randint(-3, 3), rng.randint(-3, 3))) for j in range(21))
+    )

@@ -247,10 +247,18 @@ def test_unencodable_display_exits_1(capsys, tmp_path, fmt):
     assert err.startswith("error: quantities[1].display: ") and err.count("\n") == 1
 
 
-def test_size_cap_exits_2(capsys):
-    code, _, err = run(capsys, "circuits", "--input", PIPE, "--max-n", "3")
-    assert code == 2
-    assert "cap" in err
+@pytest.mark.parametrize("command", [
+    "basis-sets", "circuits", "circuit-basis", "unified-basis", "graver", "representations",
+    "check",
+])
+def test_size_cap_exits_2(capsys, command):
+    assert run(capsys, command, "--input", PIPE, "--max-n", "4") == (
+        2, "", "error: matrix has 5 quantities, exceeding the configured cap of 4\n"
+    )
+
+
+def test_rank_ignores_size_cap(capsys):
+    assert run(capsys, "rank", "--input", PIPE, "--max-n", "3") == (0, "3\n", "")
 
 
 @pytest.mark.parametrize("command, stage, subsets", [

@@ -17,6 +17,7 @@ from dimbasis import (
     circuit_invariant,
     enumerate_basis_sets,
     enumerate_circuit_sets,
+    equation_system,
     is_circuit_set,
     unified_basis,
 )
@@ -390,15 +391,17 @@ def test_largest_checked_inputs_are_under_the_subset_cap():
     rng = random.Random(1)
     rung = matrix_of("ABCD", [(f"q{j}", [rng.randint(-3, 3) for _ in "ABCD"]) for j in range(12)])
     assert rung.rank == 4
-    enumeration._check_size(
-        rung, 12, "circuit scan", "basis-set enumeration", "basis-set reductions"
-    )
+    enumeration._check_size(rung, "circuit scan", "basis-set enumeration", "basis-set reductions")
 
 
-def test_size_cap_enforced(pipe):
-    with pytest.raises(SizeLimitError):
-        enumerate_basis_sets(pipe, max_n=4)
-    with pytest.raises(SizeLimitError):
-        enumerate_circuit_sets(pipe, max_n=4)
-    with pytest.raises(SizeLimitError):
-        unified_basis(pipe, max_n=4)
+def test_size_cap_enforced(wide):
+    # The library's only guards are the work budgets; a wide matrix of low
+    # rank passes them all, whatever its quantity count.
+    assert (len(wide.quantities), wide.rank) == (21, 2)
+    assert [b.indices for b in enumerate_basis_sets(wide)] == oracle_basis_sets(wide)
+    invariants = [p.exponents for p in circuit_basis(wide)]
+    for rep in equation_system(wide, 0).representations:
+        invariants.append(rep.dependent_invariant.exponents)
+        invariants.extend(inv.exponents for inv in rep.active_invariants)
+    assert invariants
+    assert all(sum(a * x for a, x in zip(row, e)) == 0 for row in wide.rows for e in invariants)

@@ -81,15 +81,15 @@ def test_check_falling_body_with_completion(falling_body):
     assert set(circuit_basis(falling_body)) <= graver_basis(falling_body)
 
 
-def test_graver_method_validation(pipe):
+def test_graver_method_validation(pipe, wide):
     with pytest.raises(ValueError):
         graver_basis(pipe, "brute_force")
     with pytest.raises(ValueError):
         graver_basis(pipe, "brute_force", bound=0)
     with pytest.raises(ValueError):
         graver_basis(pipe, "newton")
-    with pytest.raises(SizeLimitError):
-        graver_basis(pipe, max_n=3)
+    with pytest.raises(SizeLimitError, match=r"^brute-force box has 3\^21 points, "):
+        graver_basis(wide, "brute_force", bound=1)
 
 
 def test_brute_force_box_cap(pipe, monkeypatch):

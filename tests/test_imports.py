@@ -61,7 +61,7 @@ print({loaded})
 print(dimbasis.graver_basis is dimbasis.graver.graver_basis, {loaded})
 """)
     assert out.decode().splitlines() == [
-        "[]", "True ['dimbasis.errors', 'dimbasis.graver', 'dimbasis.linalg', 'dimbasis.model']",
+        "[]", "True ['dimbasis.graver', 'dimbasis.linalg', 'dimbasis.model']",
     ]
 
 

@@ -40,6 +40,9 @@ def test_latex_fraction():
     inv = Invariant((0, 1, -1, 1, 1))
     labels = (r"\Delta P/\ell", r"\rho", r"\mu", "d", "u")
     assert render_invariant(inv, labels, "latex") == r"\frac{\rho\, d\, u}{\mu}"
+    # A display with its own superscript is braced before the exponent.
+    inv = Invariant((2, -1, 0))
+    assert render_invariant(inv, ("r^2", "x_0", "y"), "latex") == r"\frac{{r^2}^{2}}{x_0}"
 
 
 def test_single_denominator_factor_unparenthesized():
