@@ -37,9 +37,10 @@ from typing import Iterator, Sequence
 from . import linalg
 from .model import DimensionalMatrix, Invariant, InvariantPair, SizeLimitError, _set, _Value
 
-# A subset costs one Fraction elimination, 0.55 ms in the rank-6 scan on 20
-# quantities (75 s for 137,979 subsets, Python 3.11) and more at higher rank, so
-# the cap refuses a stage of over a minute's subsets at that rate.
+# A scanned subset costs one Fraction kernel, 0.55 ms in the rank-6 circuit scan
+# on 20 quantities (75 s for 137,979 subsets, Python 3.11) and more at higher
+# rank, so the cap refuses a stage of over a minute's subsets at that rate. A
+# basis subset costs one integer rank, which is cheaper.
 _MAX_SUBSETS = 120_000
 
 

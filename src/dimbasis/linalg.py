@@ -1,12 +1,14 @@
 """Exact linear algebra over integer matrices.
 
-Everything here computes with ``fractions.Fraction`` (or plain ints), so
-results are exact; floating point never enters. A matrix is a sequence of
-rows, each row a sequence of integers. Elimination picks the first nonzero
-entry in each column as pivot, which makes every result deterministic.
-The one elimination core is :func:`_echelon` plus, in :func:`_kernel`, one
-back-substitution per free column. Systems are solved through that kernel, and
-``enumeration.basis_set_invariants`` reads a basis set's reductions off it.
+Floating point never enters. :func:`rank` runs on plain ints: one
+fraction-free forward elimination (Bareiss 1968), in :func:`_rank`, whose
+every division is exact. ``fractions.Fraction`` remains only in kernels and
+solves. A matrix is a sequence of rows, each row a sequence of integers.
+Elimination picks the first nonzero entry in each column as pivot, which makes
+every result deterministic. Kernels rest on :func:`_echelon` plus, in
+:func:`_kernel`, one back-substitution per free column. Systems are solved
+through that kernel, and ``enumeration.basis_set_invariants`` reads a basis
+set's reductions off it.
 """
 
 from __future__ import annotations
@@ -68,10 +70,36 @@ def _echelon(rows: Sequence[Sequence[int | Fraction]]):
     return work, pivot_cols
 
 
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """:func:`rank` without validation: fraction-free elimination on plain ints.
+
+    After each pivot every entry below it is a minor of the original matrix,
+    the previous pivot divides it exactly (Sylvester's identity), and entries
+    stay as small as those minors.
+    """
+    work = [list(row) for row in rows]
+    m, n = len(work), len(work[0])
+    r, prev = 0, 1
+    for c in range(n):
+        for pivot in range(r, m):
+            if work[pivot][c]:
+                break
+        else:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top, a = work[r], work[r][c]
+        for i in range(r + 1, m):
+            b = work[i][c]
+            work[i] = [(x * a - b * t) // prev for x, t in zip(work[i], top)]
+        prev, r = a, r + 1
+        if r == m:
+            break
+    return r
+
+
 def rank(matrix: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix over the rationals."""
-    rows = validate_matrix(matrix)
-    return len(_echelon(rows)[1])
+    return _rank(validate_matrix(matrix))
 
 
 def _kernel(rows: Sequence[Sequence[int | Fraction]]) -> KernelBasis:

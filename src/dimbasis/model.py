@@ -191,8 +191,7 @@ def build_matrix(system: DimensionSystem, quantities: Sequence[Quantity]) -> Dim
         if q.name in seen:
             raise ValueError(f"quantities[{k}].name: duplicate quantity {q.name!r}")
         seen.add(q.name)
-    rows = tuple(tuple(q.dims[i] for q in qs) for i in range(system.size))
-    r = linalg.rank(rows)
+    r = linalg._rank(tuple(zip(*(q.dims for q in qs))))
     return DimensionalMatrix(system=system, quantities=qs, rank=r)
 
 

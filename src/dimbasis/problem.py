@@ -16,6 +16,7 @@ Each quantity carries exactly one of ``dims`` (integer exponent list over the
 declared dimensions, in order) or ``expr`` (a dimension expression).
 ``display`` is an optional LaTeX string for rendering. ``dependent`` and
 ``excluded`` are optional analysis directives naming declared quantities.
+A key repeated within one JSON object is refused, at any level.
 
 Dimension expression grammar:
 
@@ -26,9 +27,9 @@ An omitted exponent means 1, IDENT must be a declared dimension, and repeated
 IDENTs sum their exponents. SIGNED_INT is ASCII digits after at most one sign,
 the integer syntax of the command-line options too.
 
-This module owns only the document shape: JSON types, unknown fields, exactly
-one of ``dims``/``expr``, the expression grammar, and the names that
-``dependent`` and ``excluded`` look up, in the file or on the command line.
+This module owns only the document shape: JSON types, unknown and repeated
+fields, exactly one of ``dims``/``expr``, the expression grammar, and the names
+that ``dependent`` and ``excluded`` look up, in the file or on the command line.
 The value rules (names, exponents, ``display``, repeated quantities, the roles)
 belong to :mod:`dimbasis.model`; a ``ValueError`` from there is re-raised with
 its document path in front.
@@ -155,14 +156,25 @@ def _parse_quantity(entry: object, index: int, dimensions: tuple[str, ...]) -> Q
     return _at(f"{where}.", Quantity, name, vector, entry.get("display"))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is refused, not overwritten."""
+    obj: dict = {}
+    for key, value in pairs:
+        _require(key not in obj, f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def parse_problem(text: str) -> Problem:
     """Parse a problem document and build its validated dimensional matrix."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ProblemParseError(
             f"not valid JSON (line {e.lineno}, column {e.colno}): {e.msg}"
         ) from None
+    except ProblemParseError:  # a ValueError too, so it must pass before that clause
+        raise
     except ValueError:  # after JSONDecodeError, its subclass: an over-long integer
         raise ProblemParseError(f"not valid JSON: an integer has {_too_long()}") from None
     except RecursionError:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -221,6 +222,20 @@ def test_exponent_outside_the_integer_syntax_exits_1(capsys, tmp_path, exponent)
     )
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"dimensions": ["L", "T"], "quantities": ['
+     '{"name": "a", "dims": [1, 0], "dims": [0, 1]}, {"name": "b", "expr": "T"}]}', "dims"),
+    ('{"dimensions": ["L"], "quantities": [{"name": "a", "dims": [1]}], '
+     '"quantities": [{"name": "b", "expr": "L"}]}', "quantities"),
+], ids=["quantity", "top-level"])
+def test_repeated_json_key_exits_1(capsys, tmp_path, text, key):
+    path = tmp_path / "dup.dim"
+    path.write_text(text)
+    assert run(capsys, "circuit-basis", "--input", str(path)) == (
+        1, "", f"error: duplicate key {key!r} in a JSON object\n"
+    )
+
+
 def test_non_utf8_file_exits_1(capsys, tmp_path):
     path = tmp_path / "latin1.dim"
     path.write_bytes((FIXTURE_DIR / "pipe.dim").read_bytes().replace(b'"mu"', b'"\xb5"'))
@@ -259,6 +274,21 @@ def test_size_cap_exits_2(capsys, command):
 
 def test_rank_ignores_size_cap(capsys):
     assert run(capsys, "rank", "--input", PIPE, "--max-n", "3") == (0, "3\n", "")
+
+
+def test_wide_file_ranks_and_fails_fast_on_the_size_cap(capsys, tmp_path):
+    # 40x400 with entries in [-9, 9]: the rank is computed at parse time for
+    # every subcommand, and basis-sets is then refused by the quantity cap.
+    rng = random.Random(15)
+    dims = [f"D{i}" for i in range(40)]
+    quantities = [{"name": f"q{j}", "dims": [rng.randint(-9, 9) for _ in dims]}
+                  for j in range(400)]
+    path = tmp_path / "wide.dim"
+    path.write_text(json.dumps({"dimensions": dims, "quantities": quantities}))
+    assert run(capsys, "rank", "--input", str(path)) == (0, "40\n", "")
+    assert run(capsys, "basis-sets", "--input", str(path)) == (
+        2, "", "error: matrix has 400 quantities, exceeding the configured cap of 20\n"
+    )
 
 
 @pytest.mark.parametrize("command, stage, subsets", [

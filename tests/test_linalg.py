@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dimbasis import linalg
+from dimbasis import build_matrix, linalg
 from oracles import oracle_rank
 
 F = Fraction
@@ -47,6 +47,48 @@ def test_rank_matches_determinant_oracle_seeded():
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         cols = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
         assert linalg.rank(rows) == oracle_rank(cols)
+
+
+@st.composite
+def structured_rows(draw, max_m, max_n):
+    """Entries up to 10^6 in size, with zero rows and columns and rows that sum others."""
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, max_n))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    rows = []
+    for i in range(m):
+        kind = draw(st.sampled_from(["drawn", "zero", "sum"] if i else ["drawn", "zero"]))
+        if kind == "drawn":
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+        elif kind == "zero":
+            rows.append([0] * n)
+        else:
+            parts = draw(st.sets(st.integers(0, i - 1), min_size=1))
+            rows.append([sum(rows[k][j] for k in parts) for j in range(n)])
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_rows(4, 6))
+def test_rank_matches_determinant_oracle(rows):
+    assert linalg.rank(rows) == oracle_rank(list(zip(*rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(structured_rows(8, 12))
+def test_rank_matches_fraction_echelon(rows):
+    assert linalg.rank(rows) == len(linalg._echelon(rows)[1])
+
+
+def test_rank_and_build_matrix_do_no_fraction_arithmetic(monkeypatch, pipe):
+    def no_fraction(*args):
+        raise AssertionError("Fraction arithmetic on the rank path")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    assert linalg.rank(pipe.rows) == 3
+    assert build_matrix(pipe.system, pipe.quantities).rank == 3
 
 
 # ---------------------------------------------------------------- kernel

@@ -128,6 +128,19 @@ def test_parse_rejects_an_integer_too_long_to_convert():
     assert str(error.value) == f"not valid JSON: an integer has {TOO_LONG}"
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"dimensions": ["L", "T"], "quantities": ['
+     '{"name": "a", "dims": [1, 0], "dims": [0, 1]}, {"name": "b", "expr": "T"}]}', "dims"),
+    ('{"dimensions": ["L"], "quantities": [{"name": "a", "dims": [1]}], '
+     '"quantities": [{"name": "b", "expr": "L"}]}', "quantities"),
+], ids=["quantity", "top-level"])
+def test_parse_rejects_a_repeated_key(text, key):
+    # Raised inside json.loads, so it must not be relabelled as an over-long integer.
+    with pytest.raises(ProblemParseError) as error:
+        parse_problem(text)
+    assert str(error.value) == f"duplicate key {key!r} in a JSON object"
+
+
 def test_expression_rejects_an_exponent_too_long_to_convert():
     with pytest.raises(ProblemParseError) as error:
         parse_dimension_expression(f"L^-{LONG}", ("L",))
