@@ -7,8 +7,8 @@ dependent set (circuit set), the corresponding minimal invariant pairs
 (as the same :class:`InvariantPair` type as the circuit basis, so the
 embedding of the circuits reads ``set(circuit_basis(m)) <= graver_basis(m)``),
 and every power-product representation of a designated functional relation.
-All core arithmetic is exact rational; floating point appears only in
-numerical evaluation helpers.
+All arithmetic is exact, on integers and rationals; no floating point is
+used anywhere in the package.
 
 ``import dimbasis`` loads no submodule: each public name and each submodule
 loads on first access, so a command-line run imports only what it uses.
@@ -27,7 +27,7 @@ _EXPORTS = {
     **dict.fromkeys(("conforms", "graver_basis"), "graver"),
     **dict.fromkeys((
         "DimensionSystem", "DimensionalMatrix", "Invariant", "InvariantPair", "Quantity",
-        "SizeLimitError", "build_matrix", "evaluate_invariant",
+        "SizeLimitError", "build_matrix",
     ), "model"),
     **dict.fromkeys(
         ("Problem", "ProblemParseError", "parse_dimension_expression", "parse_problem"),

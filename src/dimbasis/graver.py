@@ -119,8 +119,9 @@ def graver_basis(
         matrix: the dimensional matrix.
         method: "completion" (full basis) or "brute_force" (bounded search;
             requires ``bound`` and may miss elements beyond it).
-        bound: entry bound for the brute-force method, at least 1; the box
-            of (2*bound + 1)^n points may hold at most ``MAX_BOX_POINTS``.
+        bound: entry bound for the brute-force method, an ``int`` of at
+            least 1 (not a ``bool``); the box of (2*bound + 1)^n points may
+            hold at most ``MAX_BOX_POINTS``. The completion takes no bound.
 
     Returns:
         The basis as a frozenset of invariant pairs, the type the circuit
@@ -129,8 +130,12 @@ def graver_basis(
     n = len(matrix.quantities)
     rows = matrix.rows
     if method == "completion":
+        if bound is not None:
+            raise ValueError(f"the completion method takes no bound, got {bound!r}")
         vectors = _completion(rows)
     elif method == "brute_force":
+        if bound is not None and type(bound) is not int:  # a bool is no bound
+            raise ValueError(f"brute-force bound must be an integer, got {bound!r}")
         if bound is None or bound < 1:
             raise ValueError("brute-force bound must be at least 1")
         side = 2 * bound + 1

@@ -4,6 +4,8 @@ A dimensional matrix records, column by column, the integer exponents of each
 quantity over an ordered list of base dimensions. An invariant is a power
 product of the quantities whose value does not change under rescaling of the
 base units; equivalently, an integer vector in the kernel of the matrix.
+The package never uses floating point: exponents are integers, and every
+derived exponent is an exact rational.
 
 Every value rule of an input lives here; the parser and the CLI only say
 where a value came from. :class:`DimensionSystem` owns the dimension names,
@@ -170,12 +172,6 @@ class DimensionalMatrix(_Value):
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(q.dims for q in self.quantities)
 
-    def index_of(self, name: str) -> int:
-        for j, q in enumerate(self.quantities):
-            if q.name == name:
-                return j
-        raise KeyError(name)
-
 
 def build_matrix(system: DimensionSystem, quantities: Sequence[Quantity]) -> DimensionalMatrix:
     """Validate quantities against the system and cache the rank."""
@@ -236,10 +232,6 @@ class Invariant(_Value):
             raise ValueError(f"exponents are not relatively prime: {exponents}")
         _set(self, "exponents", exponents)
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(j for j, e in enumerate(self.exponents) if e)
-
     def flipped(self) -> "Invariant":
         return Invariant(tuple(-e for e in self.exponents))
 
@@ -266,22 +258,3 @@ class InvariantPair(_Value):
     def exponents(self) -> tuple[int, ...]:
         return self.canonical.exponents
 
-
-def evaluate_invariant(invariant: Invariant, values: Sequence[float]) -> float:
-    """Numerical value of the power product at the given quantity values.
-
-    Floating point on purpose: this is for property checks and display, the
-    exact engine never depends on it.
-    """
-    if len(values) != len(invariant.exponents):
-        raise ValueError(
-            f"expected {len(invariant.exponents)} values, got {len(values)}"
-        )
-    for v in values:
-        if not v > 0:
-            raise ValueError(f"quantity values must be strictly positive, got {v!r}")
-    result = 1.0
-    for v, e in zip(values, invariant.exponents):
-        if e:
-            result *= float(v) ** e
-    return result

@@ -152,7 +152,7 @@ def representation_json(rep: Representation, matrix: DimensionalMatrix) -> dict:
 
 def equation_system_json(system: EquationSystem, matrix: DimensionalMatrix) -> dict:
     return {
-        "relation": system.relation_name,
+        "relation": "Psi",
         "dependent": matrix.names[system.dependent],
         "warning": system.warning,
         "representations": [

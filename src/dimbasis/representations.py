@@ -64,22 +64,19 @@ class Representation(_Value):
 class EquationSystem(_Value):
     """All representations of one relation, viewed as simultaneous equations."""
 
-    __slots__ = ("dependent", "representations", "relation_name", "warning")
+    __slots__ = ("dependent", "representations", "warning")
     dependent: int
     representations: tuple[Representation, ...]
-    relation_name: str
     warning: str | None
 
     def __init__(
         self,
         dependent: int,
         representations: tuple[Representation, ...],
-        relation_name: str = "Psi",
         warning: str | None = None,
     ):
         _set(self, "dependent", dependent)
         _set(self, "representations", representations)
-        _set(self, "relation_name", relation_name)
         _set(self, "warning", warning)
 
 

@@ -1,37 +1,31 @@
 """Independent brute-force oracles.
 
-These deliberately avoid the package's elimination code: rank comes from
-minor determinants (Laplace expansion), basis and circuit sets from their
-set-theoretic definitions. The exceptions are the invariants:
-:func:`oracle_circuit_basis` derives each circuit's pair on its own, after
-the circuit sets are known; :func:`oracle_basis_set_invariants` reduces each
-non-basis quantity on its own (a rank test, then one ``solve_in_basis`` per
-non-basis quantity); and :func:`oracle_unified_basis` is the unified basis by
-its definition, the union of those reductions over the package's basis sets.
+These never call the package's engine: they import only its value types.
+Rank comes from minor determinants (Laplace expansion), basis and circuit
+sets from their set-theoretic definitions, and invariants from Cramer's rule
+on those determinants. A circuit's line has the signed maximal minors of k - 1
+independent rows of its k columns as entries; a basis set's reduced invariant
+of quantity i has det(A[R, B]) at i and minus the determinant with the
+column of b replaced by that of i at each b in B, for r rows R on which the
+basis columns are independent. :func:`oracle_unified_basis` is the unified
+basis by its definition, the union of those reductions over every basis set.
 Only usable for small matrices.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd, prod
 
-from dimbasis import (
-    CircuitSet,
-    DimensionalMatrix,
-    Invariant,
-    InvariantPair,
-    circuit_invariant,
-    enumerate_basis_sets,
-    linalg,
-)
+from dimbasis import DimensionalMatrix, Invariant, InvariantPair
 
 
 def det(square: list[list[int]]) -> int:
-    n = len(square)
-    if n == 1:
-        return square[0][0]
+    """Laplace expansion along the first row; 1 for the empty matrix."""
+    if not square:
+        return 1
     total = 0
-    for j in range(n):
+    for j in range(len(square)):
         if square[0][j] == 0:
             continue
         minor = [row[:j] + row[j + 1 :] for row in square[1:]]
@@ -86,55 +80,82 @@ def oracle_circuit_sets(matrix: DimensionalMatrix) -> list[tuple[int, ...]]:
     return sorted(circuits)
 
 
-def oracle_circuit_basis(matrix: DimensionalMatrix) -> list[InvariantPair]:
-    """One ``circuit_invariant`` per definitional circuit set, in circuit-set order.
+def _primitive(vector: list[int]) -> list[int]:
+    g = gcd(*vector)
+    return [x // g for x in vector]
 
-    This is the per-circuit derivation: one more elimination for each circuit,
-    after the circuit sets are found.
+
+def oracle_circuit_basis(matrix: DimensionalMatrix) -> list[InvariantPair]:
+    """One pair per definitional circuit set, in circuit-set order.
+
+    A k-column circuit has rank k - 1, so some k - 1 of its rows are
+    independent; entry j of its line is (-1)^j times the minor of those rows
+    without column j.
     """
-    return [circuit_invariant(matrix, CircuitSet(c)) for c in oracle_circuit_sets(matrix)]
+    out = []
+    for circuit in oracle_circuit_sets(matrix):
+        independent: list[list[int]] = []
+        for row in ([row[j] for j in circuit] for row in matrix.rows):
+            if oracle_rank(independent + [row]) > len(independent):
+                independent.append(row)
+        line = [0] * len(matrix.quantities)
+        for k, j in enumerate(circuit):
+            line[j] = (-1) ** k * det([row[:k] + row[k + 1 :] for row in independent])
+        out.append(InvariantPair(Invariant(_primitive(line))))
+    return out
 
 
 def oracle_basis_set_invariants(matrix: DimensionalMatrix, basis) -> tuple[Invariant, ...]:
-    """The reduced invariants of a basis set, one solve per non-basis quantity.
+    """The reduced invariants of a basis set by Cramer's rule, in quantity order.
 
-    Each is the kernel vector with exponent 1 on its quantity and the negated
-    ``solve_in_basis`` coefficients on the basis, scaled to primitive
-    integers. Raises ValueError for an index that names no quantity or a
-    subset that is not a basis set.
+    Each has a positive exponent on its non-basis quantity and every other
+    nonzero exponent in the basis. Raises ValueError for an index that names
+    no quantity or a subset that is not a basis set.
     """
     n, r = len(matrix.quantities), matrix.rank
     basis = tuple(basis)
     if any(not 0 <= j < n for j in basis):
         raise ValueError(f"{basis} names no quantity")
-    columns = [matrix.columns[j] for j in basis]
-    if len(basis) != r or (basis and linalg.rank(list(zip(*columns))) != r):
+    if len(basis) != r or oracle_subset_rank(matrix, basis) != r:
         raise ValueError(f"{basis} is not a basis set of this matrix")
+    rows = matrix.rows
+
+    def minor(selected, columns) -> int:
+        return det([[rows[i][j] for j in columns] for i in selected])
+
+    selected = next(s for s in combinations(range(len(rows)), r) if minor(s, basis))
+    d = minor(selected, basis)
     invariants = []
-    for i in range(n):
-        if i in basis:
-            continue
-        coefficients = linalg.solve_in_basis(matrix.rows, basis, i)
+    for i in (i for i in range(n) if i not in basis):
         vector = [0] * n
-        vector[i] = 1
-        for j, c in zip(basis, coefficients):
-            vector[j] = -c
-        invariants.append(Invariant(linalg.scale_to_primitive(vector)))
+        vector[i] = d
+        for k, b in enumerate(basis):
+            vector[b] = -minor(selected, basis[:k] + (i,) + basis[k + 1 :])
+        vector = _primitive(vector)
+        invariants.append(Invariant(vector if vector[i] > 0 else [-x for x in vector]))
     return tuple(invariants)
 
 
 def oracle_unified_basis(matrix: DimensionalMatrix) -> list[Invariant]:
     """Union of the reduced invariants over every basis set, as canonical pairs.
 
-    One ``solve_in_basis`` per non-basis quantity and basis set; sorted by
-    exponent vector.
+    Sorted by exponent vector.
     """
-    seen: set[tuple[int, ...]] = set()
-    out: list[Invariant] = []
-    for basis in enumerate_basis_sets(matrix):
-        for invariant in oracle_basis_set_invariants(matrix, basis):
-            canonical = invariant.canonical()
-            if canonical.exponents not in seen:
-                seen.add(canonical.exponents)
-                out.append(canonical)
-    return sorted(out, key=lambda inv: inv.exponents)
+    union = {
+        invariant.canonical()
+        for basis in oracle_basis_sets(matrix)
+        for invariant in oracle_basis_set_invariants(matrix, basis)
+    }
+    return sorted(union, key=lambda inv: inv.exponents)
+
+
+def evaluate_invariant(invariant: Invariant, values) -> float:
+    """Floating-point value of the power product at the given quantity values.
+
+    Raises ValueError unless there is one strictly positive value per quantity.
+    """
+    if len(values) != len(invariant.exponents):
+        raise ValueError(f"expected {len(invariant.exponents)} values, got {len(values)}")
+    if not all(v > 0 for v in values):
+        raise ValueError(f"quantity values must be strictly positive, got {values!r}")
+    return prod(float(v) ** e for v, e in zip(values, invariant.exponents) if e)

@@ -21,12 +21,13 @@ import pytest
 
 from dimbasis import (
     BasisSet,
+    Invariant,
+    InvariantPair,
     basis_set_invariants,
     circuit_basis,
     enumerate_basis_sets,
     enumerate_circuit_sets,
     equation_system,
-    evaluate_invariant,
     graver_basis,
     unified_basis,
 )
@@ -40,7 +41,7 @@ from conftest import (
     run_main,
     two_body_matrix,
 )
-from oracles import oracle_basis_sets, oracle_circuit_sets
+from oracles import evaluate_invariant, oracle_basis_sets, oracle_circuit_sets
 
 F = Fraction
 
@@ -186,7 +187,7 @@ def test_criterion_4_script_equivalence():
     normalized = set()
     for row in SCRIPT_ROWS:
         dense = tuple(F(row.get(name, 0)) for name in names)
-        normalized.add(linalg.primitive_scale(dense))
+        normalized.add(InvariantPair(Invariant(linalg.scale_to_primitive(dense))).exponents)
     produced = {pair.exponents for pair in circuit_basis(falling)}
     assert produced == normalized
     # supports line up with the enumerated circuit sets

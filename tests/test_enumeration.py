@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,9 @@ from dimbasis import (
     is_circuit_set,
     unified_basis,
 )
+import dimbasis
 from dimbasis import enumeration, linalg
+from dimbasis.model import _Value
 from conftest import matrix_of
 from oracles import (
     oracle_basis_set_invariants,
@@ -315,7 +319,49 @@ def test_circuit_basis_pairs_lie_on_their_circuits(matrix):
         e = pair.exponents
         assert math.gcd(*e) == 1
         assert all(sum(a * x for a, x in zip(row, e)) == 0 for row in matrix.rows)
-        assert pair.canonical.support == set(circuit.indices)
+        assert {j for j, x in enumerate(e) if x} == set(circuit.indices)
+
+
+def test_oracles_import_only_value_types_from_the_package():
+    """The oracles check the engine, so they may not call it."""
+    source = Path(__file__).with_name("oracles.py").read_text(encoding="utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "dimbasis" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dimbasis"):
+            assert node.module == "dimbasis"
+            imported.extend(alias.name for alias in node.names)
+    assert imported
+    for name in imported:
+        value = getattr(dimbasis, name)
+        assert isinstance(value, type) and issubclass(value, _Value), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_oracle_invariants_hold_by_definition(matrix):
+    """The Cramer's-rule oracles checked against the definitions alone."""
+    def support(e):
+        return {j for j, x in enumerate(e) if x}
+
+    def in_kernel(e):
+        return all(sum(a * x for a, x in zip(row, e)) == 0 for row in matrix.rows)
+
+    circuits = oracle_circuit_sets(matrix)
+    pairs = oracle_circuit_basis(matrix)
+    assert len(pairs) == len(circuits)
+    for pair, circuit in zip(pairs, circuits):
+        e = pair.exponents
+        assert in_kernel(e) and math.gcd(*e) == 1 and support(e) == set(circuit)
+    n = len(matrix.quantities)
+    for basis in oracle_basis_sets(matrix):
+        owners = [i for i in range(n) if i not in basis]
+        invariants = oracle_basis_set_invariants(matrix, basis)
+        assert len(invariants) == len(owners)
+        for i, invariant in zip(owners, invariants):
+            e = invariant.exponents
+            assert in_kernel(e) and e[i] > 0 and support(e) <= {*basis, i}
 
 
 # -------------------------------------------------------------- properties

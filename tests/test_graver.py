@@ -82,10 +82,15 @@ def test_check_falling_body_with_completion(falling_body):
 
 
 def test_graver_method_validation(pipe, wide):
-    with pytest.raises(ValueError):
-        graver_basis(pipe, "brute_force")
-    with pytest.raises(ValueError):
-        graver_basis(pipe, "brute_force", bound=0)
+    for bound in (None, 0, -1):
+        with pytest.raises(ValueError, match="^brute-force bound must be at least 1$"):
+            graver_basis(pipe, "brute_force", bound=bound)
+    for bound in (1.5, "2", True):
+        with pytest.raises(ValueError, match="^brute-force bound must be an integer, got "):
+            graver_basis(pipe, "brute_force", bound=bound)
+    for bound in (7, 0):
+        with pytest.raises(ValueError, match=f"^the completion method takes no bound, got {bound}"):
+            graver_basis(pipe, "completion", bound=bound)
     with pytest.raises(ValueError):
         graver_basis(pipe, "newton")
     with pytest.raises(SizeLimitError, match=r"^brute-force box has 3\^21 points, "):

@@ -97,7 +97,7 @@ def test_rank_and_build_matrix_do_no_fraction_arithmetic(monkeypatch, pipe):
 def test_kernel_of_1x2_difference():
     basis = linalg.kernel_basis([[1, -1]])
     assert len(basis.vectors) == 1
-    assert linalg.primitive_scale(basis.vectors[0]) == (1, 1)
+    assert linalg.scale_to_primitive(basis.vectors[0]) == (1, 1)
 
 
 def test_kernel_vectors_multiply_back_to_zero(falling_body):
@@ -352,7 +352,7 @@ def test_integer_kernel_basis_properties(rows):
     # every rational kernel basis vector lies in the rational span already;
     # saturation is what matters: scaled primitives must be integer combos
     for vector in linalg.kernel_basis(rows).vectors:
-        primitive = linalg.primitive_scale(vector)
+        primitive = linalg.scale_to_primitive(vector)
         coeffs = linalg.express_in_span(basis, primitive)
         assert coeffs is not None
         assert all(c.denominator == 1 for c in coeffs)

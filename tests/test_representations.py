@@ -10,10 +10,10 @@ from dimbasis import (
     admissible_basis_sets,
     build_representation,
     equation_system,
-    evaluate_invariant,
     express_dependent_invariant,
 )
 from conftest import matrix_of
+from oracles import evaluate_invariant
 
 F = Fraction
 
