@@ -13,9 +13,9 @@ the embedding is ``set(circuit_basis(m)) <= graver_basis(m)``.
 Two methods are provided:
 
 * ``completion``: a Pottier-style completion. Starting from a lattice basis
-  of the integer kernel plus negations, pairwise sums are reduced to normal
-  form against the current set until closure, then non-minimal elements are
-  discarded. The starting basis is saturated (see
+  of the integer kernel plus negations, each new vector's sums with the
+  earlier ones are reduced to normal form until closure, then non-minimal
+  elements are discarded. The starting basis is saturated (see
   :func:`dimbasis.linalg.integer_kernel_basis`), which makes the result the
   full Graver basis regardless of processing order.
 * ``brute_force``: enumerate kernel points with all entries bounded and keep
@@ -40,10 +40,9 @@ Vector = tuple[int, ...]
 # 10^5 points at n = 5 (Python 3.11), so the cap keeps it to seconds.
 MAX_BOX_POINTS = 10**6
 
-# Each normal form scans the generators found so far, so the completion slows
-# as it grows. A seeded 3 x 7 matrix needs 80,601 normal forms (28-40 s,
-# Python 3.11); the cap lets it finish and stops a 3 x 8 one after about 40 s.
-_MAX_NORMAL_FORMS = 100_000
+# Each normal form scans the generators found so far. A seeded 3 x 7 matrix needs
+# 40,200 (12-17 s, Python 3.11); the cap lets it finish and stops 3 x 8 in 17-21 s.
+_MAX_NORMAL_FORMS = 50_000
 
 
 def conforms(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -72,15 +71,15 @@ def _minimal_elements(vectors: Iterable[Vector]) -> set[Vector]:
 
 
 def _completion(rows: Sequence[Sequence[int]]) -> set[Vector]:
-    # No generator is added twice: the lattice basis is nonzero and independent,
-    # and a nonzero normal form is no generator, since each reduces itself.
+    # Generators come in pairs v, -v, and -v + g = -(v + (-g)): negating the
+    # reduction of v + (-g) reduces -v + g, so only v's sums are queued. None is
+    # added twice: the lattice basis is independent, and a generator reduces to 0.
     generators: list[Vector] = []
     queue: deque[Vector] = deque()
 
     def add_pair(vector: Vector) -> None:
-        for v in (vector, tuple(-x for x in vector)):
-            queue.extend(tuple(a + b for a, b in zip(v, g)) for g in generators)
-            generators.append(v)
+        queue.extend(tuple(a + b for a, b in zip(vector, g)) for g in generators)
+        generators.extend((vector, tuple(-x for x in vector)))
 
     for b in linalg.integer_kernel_basis(rows):
         add_pair(b)

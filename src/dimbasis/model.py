@@ -191,20 +191,27 @@ def build_matrix(system: DimensionSystem, quantities: Sequence[Quantity]) -> Dim
     return DimensionalMatrix(system=system, quantities=qs, rank=r)
 
 
+def _check_index(role: str, j: object, n: int) -> None:
+    if type(j) is not int:  # a bool would pass as 0 or 1, a float fails to index
+        raise ValueError(f"{role} index must be an integer, got {j!r}")
+    if not 0 <= j < n:
+        raise ValueError(f"{role} index {j} out of range for {n} quantities")
+
+
 def _check_roles(
     matrix: DimensionalMatrix, dependent: int | None, excluded: Sequence[int]
 ) -> None:
     """Validate the quantity roles of an analysis, given as column indices.
 
-    Every index must name a quantity, no quantity may be excluded twice, and
-    the dependent quantity (None when there is none) may not be excluded.
+    Every index must be an ``int`` (not a ``bool``) that names a quantity, no
+    quantity may be excluded twice, and the dependent quantity (None when there
+    is none) may not be excluded.
     """
     n = len(matrix.quantities)
-    if dependent is not None and not 0 <= dependent < n:
-        raise ValueError(f"dependent index {dependent} out of range for {n} quantities")
+    if dependent is not None:
+        _check_index("dependent", dependent, n)
     for k, j in enumerate(excluded):
-        if not 0 <= j < n:
-            raise ValueError(f"excluded index {j} out of range for {n} quantities")
+        _check_index("excluded", j, n)
         name = matrix.quantities[j].name
         if j in excluded[:k]:
             raise ValueError(f"duplicate excluded quantity {name!r}")

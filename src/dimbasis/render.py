@@ -20,6 +20,8 @@ if TYPE_CHECKING:
 
 # Characters that make a bare name ambiguous inside a product or power.
 _TEXT_GROUP_CHARS = set("/*^·+-")
+# A label's own superscript is braced in LaTeX instead (see _latex_factor).
+_LATEX_GROUP_CHARS = _TEXT_GROUP_CHARS - {"^"}
 
 _FUNCTION_NAME_RE = re.compile(r"([A-Za-z]+)_(\d+)")
 
@@ -49,7 +51,7 @@ def _text_factor(label: str, exponent: int | Fraction) -> str:
 def _latex_factor(label: str, exponent: int | Fraction) -> str:
     if exponent == 1:
         return label
-    if "/" in label or " " in label:
+    if _LATEX_GROUP_CHARS.intersection(label) or any(c.isspace() for c in label):
         label = rf"\left({label}\right)"
     elif "^" in label:  # a second bare superscript is a TeX error
         label = f"{{{label}}}"

@@ -9,11 +9,14 @@ of quantity i has det(A[R, B]) at i and minus the determinant with the
 column of b replaced by that of i at each b in B, for r rows R on which the
 basis columns are independent. :func:`oracle_unified_basis` is the unified
 basis by its definition, the union of those reductions over every basis set.
+:func:`oracle_graver_completion` is the Pottier completion that sums both
+orientations of every new vector, from a lattice basis given by the caller.
 Only usable for small matrices.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from math import gcd, prod
 
@@ -147,6 +150,44 @@ def oracle_unified_basis(matrix: DimensionalMatrix) -> list[Invariant]:
         for invariant in oracle_basis_set_invariants(matrix, basis)
     }
     return sorted(union, key=lambda inv: inv.exponents)
+
+
+def _conforms(x, y) -> bool:
+    return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(x, y))
+
+
+def oracle_graver_completion(lattice_basis) -> set[tuple[int, ...]]:
+    """Both orientations of every Graver element, by Pottier's completion.
+
+    Starts from a saturated lattice basis of the integer kernel. Each new
+    vector v is added as v and -v, and the sums of each of them with every
+    earlier vector, v + (-v) = 0 included, are reduced to normal form against
+    the current set; a nonzero normal form is added in turn. The elements that
+    no other vector conforms to are returned.
+    """
+    generators: list[tuple[int, ...]] = []
+    queue: deque[tuple[int, ...]] = deque()
+
+    def add_pair(vector) -> None:
+        for v in (tuple(vector), tuple(-x for x in vector)):
+            queue.extend(tuple(a + b for a, b in zip(v, g)) for g in generators)
+            generators.append(v)
+
+    for b in lattice_basis:
+        add_pair(b)
+    while queue:
+        s = queue.popleft()
+        reduced = True
+        while reduced and any(s):
+            reduced = False
+            for g in generators:
+                if _conforms(g, s):
+                    s = tuple(a - b for a, b in zip(s, g))
+                    reduced = True
+                    break
+        if any(s):
+            add_pair(s)
+    return {v for v in generators if not any(w != v and _conforms(w, v) for w in generators)}
 
 
 def evaluate_invariant(invariant: Invariant, values) -> float:

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from dimbasis import SizeLimitError, circuit_basis, conforms, graver_basis
+from dimbasis import SizeLimitError, circuit_basis, conforms, graver, graver_basis, linalg
 from conftest import matrix_of
+from oracles import oracle_graver_completion
 
 
 def single_row(*entries):
@@ -109,13 +110,36 @@ def test_brute_force_box_cap(pipe, monkeypatch):
 
 
 def test_completion_budget_is_inclusive(pipe, monkeypatch):
-    # The pipe-flow completion computes 45 normal forms.
-    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 45)
+    # The pipe-flow completion computes 20 normal forms.
+    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 20)
     assert len(graver_basis(pipe)) == 5
-    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 44)
+    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 19)
     with pytest.raises(SizeLimitError,
-                       match=r"^Graver completion would compute more than 44 normal forms$"):
+                       match=r"^Graver completion would compute more than 19 normal forms$"):
         graver_basis(pipe)
+
+
+# Seeded matrices with entries in [-2, 2] (seed 3 of the benchmark's column-major
+# draw) and their Graver pair counts. Their elements reach entries of 6 and 15,
+# so a brute-force box of 13^6 or 31^6 points cannot check them.
+SEEDED = {
+    "2x6": ([[-1, 2, 0, 1, -2, -2], [2, -1, 2, 2, 2, 1]], 64),
+    "3x6": ([[-1, -1, 1, 2, 0, -1], [2, 0, 2, -2, 2, 1], [2, 2, -2, 1, -1, 2]], 37),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SEEDED))
+def test_completion_matches_two_orientation_reference(shape):
+    rows, pairs = SEEDED[shape]
+    completed = graver._completion(rows)
+    assert completed == oracle_graver_completion(linalg.integer_kernel_basis(rows))
+    assert len(completed) == 2 * pairs
+
+
+def test_completion_matches_reference_on_fixtures(pipe, laminar, falling_body, two_body):
+    for matrix in (pipe, laminar, falling_body, two_body):
+        reference = oracle_graver_completion(linalg.integer_kernel_basis(matrix.rows))
+        assert graver._completion(matrix.rows) == reference
 
 
 def test_graver_of_saturation_sensitive_matrix():

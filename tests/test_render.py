@@ -11,6 +11,7 @@ from dimbasis.render import (
     render_power_product,
     render_representation,
 )
+from conftest import matrix_of
 
 PIPE_NAMES = ("dP/l", "rho", "mu", "d", "u")
 FALL_NAMES = ("S(t)", "S0", "V0", "g", "t")
@@ -43,6 +44,19 @@ def test_latex_fraction():
     # A display with its own superscript is braced before the exponent.
     inv = Invariant((2, -1, 0))
     assert render_invariant(inv, ("r^2", "x_0", "y"), "latex") == r"\frac{{r^2}^{2}}{x_0}"
+    # A label holding a sum, a difference, a product or a space is bracketed,
+    # as in text; otherwise the exponent would bind to its last term only.
+    labels = ("a+b", "c", "t")
+    assert render_invariant(inv, labels) == "(a+b)^2 / c"
+    assert render_invariant(inv, labels, "latex") == r"\frac{\left(a+b\right)^{2}}{c}"
+    for label in ("m_1-m_2", "m*g", "m·g", r"\Delta P"):
+        assert render_power_product([(label, 2)], "latex") == rf"\left({label}\right)^{{2}}"
+    assert render_power_product([("m_1+m_2", 1)], "latex") == "m_1+m_2"
+    rep = build_representation(matrix_of(("L",), (("y", (2,)), ("M", (1,)))), 0,
+                               BasisSet((1,)), "Phi_1")
+    assert render_representation(rep, ("y", "m_1+m_2"), "latex") == (
+        r"y = \left(m_1+m_2\right)^{2}\, \Phi_{1}()"
+    )
 
 
 def test_single_denominator_factor_unparenthesized():

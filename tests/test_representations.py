@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,24 @@ def test_build_rejects_dependent_outside_the_quantities(pipe, dependent):
     # Both used to end in a bare AssertionError.
     with pytest.raises(ValueError, match=f"dependent index {dependent} out of range for 5"):
         build_representation(pipe, dependent, BasisSet((1, 2, 3)))
+
+
+@pytest.mark.parametrize("dependent, excluded, message", [
+    (True, (), "dependent index must be an integer, got True"),
+    (1.0, (), "dependent index must be an integer, got 1.0"),
+    ("1", (), "dependent index must be an integer, got '1'"),
+    (0, (2.0,), "excluded index must be an integer, got 2.0"),
+    (0, (False,), "excluded index must be an integer, got False"),
+])
+def test_roles_reject_indices_that_are_not_ints(pipe, dependent, excluded, message):
+    whole = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=whole):
+        equation_system(pipe, dependent, excluded)
+    with pytest.raises(ValueError, match=whole):
+        admissible_basis_sets(pipe, dependent, excluded)
+    if not excluded:
+        with pytest.raises(ValueError, match=whole):
+            build_representation(pipe, dependent, BasisSet((1, 2, 3)))
 
 
 # ---------------------------------------------------------------- systems
