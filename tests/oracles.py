@@ -10,14 +10,15 @@ column of b replaced by that of i at each b in B, for r rows R on which the
 basis columns are independent. :func:`oracle_unified_basis` is the unified
 basis by its definition, the union of those reductions over every basis set.
 :func:`oracle_graver_completion` is the Pottier completion that sums both
-orientations of every new vector, from a lattice basis given by the caller.
-Only usable for small matrices.
+orientations of every new vector, from a lattice basis given by the caller,
+and :func:`oracle_box_minimal` the minimal kernel points of a box, found by
+testing every point of it. Only usable for small matrices.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 
 from dimbasis import DimensionalMatrix, Invariant, InvariantPair
@@ -188,6 +189,25 @@ def oracle_graver_completion(lattice_basis) -> set[tuple[int, ...]]:
         if any(s):
             add_pair(s)
     return {v for v in generators if not any(w != v and _conforms(w, v) for w in generators)}
+
+
+def oracle_box_minimal(rows, bound: int) -> set[tuple[int, ...]]:
+    """The minimal nonzero kernel points with every entry in [-bound, bound].
+
+    Tests every point of the box; a kernel point is minimal when no other
+    nonzero kernel point lies in the box between 0 and it.
+    """
+    kernel = {
+        c
+        for c in product(range(-bound, bound + 1), repeat=len(rows[0]))
+        if any(c) and all(sum(r * x for r, x in zip(row, c)) == 0 for row in rows)
+    }
+    return {
+        v
+        for v in kernel
+        if not any(w != v and w in kernel
+                   for w in product(*(range(min(x, 0), max(x, 0) + 1) for x in v)))
+    }
 
 
 def evaluate_invariant(invariant: Invariant, values) -> float:

@@ -533,6 +533,23 @@ def test_over_budget_completion_exits_2(capsys, monkeypatch, command):
     assert err == "error: Graver completion would compute more than 10 normal forms\n"
 
 
+def test_seeded_3x8_completion_exits_2(capsys, tmp_path):
+    # Seed 3 of the benchmark's column-major draw, 3 x 8 with entries in
+    # [-2, 2]: the completion needs more than 200,000 normal forms.
+    rows = [[-1, -1, 1, 2, 0, -1, 2, -1], [2, 0, 2, -2, 2, 1, 1, -1], [2, 2, -2, 1, -1, 2, 1, -1]]
+    doc = {
+        "dimensions": ["D0", "D1", "D2"],
+        "quantities": [{"name": f"q{j}", "dims": list(col)} for j, col in enumerate(zip(*rows))],
+    }
+    path = tmp_path / "graver_3x8.dim"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "graver", "--input", str(path)) == (
+        2, "", "error: Graver completion would compute more than 50000 normal forms\n"
+    )
+    # The same problem is the fixture that CI runs through the installed script.
+    assert json.loads((FIXTURE_DIR / "graver_3x8.dim").read_text(encoding="utf-8")) == doc
+
+
 def test_text_runs_are_deterministic(capsys):
     first = run(capsys, "unified-basis", "--input", FALLING)
     second = run(capsys, "unified-basis", "--input", FALLING)

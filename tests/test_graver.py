@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from dimbasis import SizeLimitError, circuit_basis, conforms, graver, graver_basis, linalg
 from conftest import matrix_of
-from oracles import oracle_graver_completion
+from oracles import oracle_box_minimal, oracle_graver_completion
 
 
 def single_row(*entries):
@@ -50,6 +51,12 @@ def test_conforms_partial_order():
     assert not conforms((1, 0, -1), (2, 0, 3))  # sign clash
     assert not conforms((3, 0, -1), (2, 0, -3))  # magnitude
     assert conforms((0, 0), (5, -7))
+
+
+def test_conforms_refuses_vectors_of_unequal_length():
+    for x, y in (((1, 2, 3), (1, 2)), ((1, 2), (1, 2, 3)), ((), (0,))):
+        with pytest.raises(ValueError, match="^cannot compare vectors of lengths "):
+            conforms(x, y)
 
 
 def test_graver_elements_are_pairwise_minimal_kernel_vectors(falling_body):
@@ -110,12 +117,12 @@ def test_brute_force_box_cap(pipe, monkeypatch):
 
 
 def test_completion_budget_is_inclusive(pipe, monkeypatch):
-    # The pipe-flow completion computes 20 normal forms.
-    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 20)
+    # The pipe-flow completion computes 15 normal forms.
+    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 15)
     assert len(graver_basis(pipe)) == 5
-    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 19)
+    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 14)
     with pytest.raises(SizeLimitError,
-                       match=r"^Graver completion would compute more than 19 normal forms$"):
+                       match=r"^Graver completion would compute more than 14 normal forms$"):
         graver_basis(pipe)
 
 
@@ -134,6 +141,26 @@ def test_completion_matches_two_orientation_reference(shape):
     completed = graver._completion(rows)
     assert completed == oracle_graver_completion(linalg.integer_kernel_basis(rows))
     assert len(completed) == 2 * pairs
+
+
+# Seed 3, 3 x 7: the two-orientation reference takes over 20 s here, so the
+# elements are checked against the definition instead.
+SEEDED_3X7 = [[-1, -1, 1, 2, 0, -1, 2], [2, 0, 2, -2, 2, 1, 1], [2, 2, -2, 1, -1, 2, 1]]
+
+
+def test_seeded_3x7_graver_basis():
+    matrix = matrix_of(
+        ("D0", "D1", "D2"), tuple((f"q{j}", col) for j, col in enumerate(zip(*SEEDED_3X7)))
+    )
+    pairs = graver_basis(matrix)
+    assert len(pairs) == 201
+    assert set(circuit_basis(matrix)) <= pairs
+    elements = [g.exponents for g in pairs]
+    elements += [tuple(-x for x in v) for v in elements]
+    for v in elements:
+        assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in SEEDED_3X7)
+        assert math.gcd(*v) == 1
+        assert not any(w != v and conforms(w, v) for w in elements)
 
 
 def test_completion_matches_reference_on_fixtures(pipe, laminar, falling_body, two_body):
@@ -167,3 +194,40 @@ def test_methods_agree_on_random_small_matrices():
         max_entry = max((abs(e) for g in completed for e in g.exponents), default=0)
         brute = graver_basis(matrix, "brute_force", bound=max_entry + 1)
         assert completed == brute
+
+
+def differential_rows(rng: random.Random) -> list[list[int]]:
+    """A random m x n matrix, m <= 3 and n <= 6, with entries in [-2, 2].
+
+    One in three has its last row the sum of the others (rank-deficient for
+    m >= 2) and one in three a zero column.
+    """
+    m, n = rng.randint(1, 3), rng.randint(1, 6)
+    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 1 / 3:
+        rows[-1] = [sum(col) for col in zip(*rows[:-1])]
+    if rng.random() < 1 / 3:
+        zero = rng.randrange(n)
+        for row in rows:
+            row[zero] = 0
+    return rows
+
+
+_rng = random.Random(19)
+# Edge cases besides the seeded draws: n = 1 (the box search's left half is
+# empty), a zero matrix, repeated rows and a full-rank matrix.
+DIFFERENTIAL = [
+    [[0]], [[2]], [[1], [-1]], [[0, 0, 0]], [[1, -2, 2], [1, -2, 2]], [[1, 0], [0, 1]],
+] + [differential_rows(_rng) for _ in range(60)]
+
+
+def test_completion_matches_two_orientation_reference_on_random_matrices():
+    for rows in DIFFERENTIAL:
+        reference = oracle_graver_completion(linalg.integer_kernel_basis(rows))
+        assert graver._completion(rows) == reference, rows
+
+
+def test_box_search_matches_box_oracle_on_random_matrices():
+    for rows in DIFFERENTIAL:
+        for bound in (1, 2):
+            assert graver._brute_force(rows, bound) == oracle_box_minimal(rows, bound), rows
