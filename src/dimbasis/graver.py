@@ -15,13 +15,14 @@ entry i and bit n + i for a negative one. ``x <= y`` needs the support of x
 inside that of y, an int test that rejects most pairs before the entrywise
 one. Two methods are provided:
 
-* ``completion``: a Pottier-style completion. Starting from a lattice basis
-  of the integer kernel plus negations, each new vector's sums with the
-  earlier ones are reduced to normal form until closure, then non-minimal
-  elements are discarded. The sum of two sign-compatible vectors is skipped,
-  since it reduces to 0 through either of them. The starting basis is
-  saturated (see :func:`dimbasis.linalg.integer_kernel_basis`), which makes
-  the result the full Graver basis regardless of processing order.
+* ``completion``: a Pottier-style completion. Starting from the reduced
+  Hermite basis of the integer kernel lattice plus negations, each new
+  vector's sums with the earlier ones are reduced to normal form until
+  closure, then non-minimal elements are discarded. The sum of two
+  sign-compatible vectors is skipped, since it reduces to 0 through either of
+  them. The starting basis is saturated (see
+  :func:`dimbasis.linalg.integer_kernel_basis`), which makes the result the
+  full Graver basis regardless of processing order.
 * ``brute_force``: enumerate kernel points with all entries bounded and keep
   the minimal ones. Exact for every element within the bound, but blind to
   Graver elements with larger entries; useful as an independent check. The
@@ -48,10 +49,10 @@ Vector = tuple[int, ...]
 # compares: a zero row at 3^12 points, all of them kernel points, takes about 4 s.
 MAX_BOX_POINTS = 10**6
 
-# Each normal form scans the generators found so far. A seeded 3 x 7 matrix needs
-# 33,718 (about 1.2 s, Python 3.11); the cap lets it finish and stops 3 x 8 in
-# about 2 s.
-_MAX_NORMAL_FORMS = 50_000
+# Each normal form scans the growing generator list, so it is charged the list's
+# length. A seeded 3 x 7 matrix is charged 11.9 million (about 1 s, Python 3.11);
+# the cap lets it finish and stops 3 x 8 in about 2 s and 3 x 12 in about 1 s.
+_MAX_GENERATOR_SCANS = 30_000_000
 
 
 def conforms(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -102,34 +103,36 @@ def _minimal_elements(vectors: Iterable[Vector]) -> set[Vector]:
 
 def _completion(rows: Sequence[Sequence[int]]) -> set[Vector]:
     # Generators come in pairs v, -v, and -v + g = -(v + (-g)): negating the
-    # reduction of v + (-g) reduces -v + g, so only v's sums are queued. None is
+    # reduction of v + (-g) reduces -v + g, so only v's sums are formed. None is
     # added twice: the lattice basis is independent, and a generator reduces to 0.
-    # A sum of sign-compatible v and g is not queued either: g <= v + g, so it
+    # A sum of sign-compatible v and g is not formed either: g <= v + g, so it
     # reduces through g to v and then to 0. They are compatible exactly when g
     # shares no signed support with -v.
     generators: list[tuple[int, Vector]] = []
-    queue: deque[Vector] = deque()
+    # A new vector waits with the number of generators before it; its sums with
+    # those are formed when it is reached, in the order a queue of sums would have.
+    pending: deque[tuple[Vector, int, int]] = deque()
 
     def add_pair(vector: Vector) -> None:
         negated = tuple(-x for x in vector)
         clashes = _signs(negated)
-        queue.extend(
-            tuple(a + b for a, b in zip(vector, g)) for mask, g in generators if mask & clashes
-        )
+        pending.append((vector, clashes, len(generators)))
         generators.extend(((_signs(vector), vector), (clashes, negated)))
 
     for b in linalg.integer_kernel_basis(rows):
         add_pair(b)
-    normal_forms = 0
-    while queue:
-        normal_forms += 1
-        if normal_forms > _MAX_NORMAL_FORMS:
-            raise SizeLimitError(
-                f"Graver completion would compute more than {_MAX_NORMAL_FORMS} normal forms"
-            )
-        s = _normal_form(queue.popleft(), generators)
-        if any(s):
-            add_pair(s)
+    scans = 0
+    while pending:
+        vector, clashes, count = pending.popleft()
+        for g in [g for mask, g in generators[:count] if mask & clashes]:
+            scans += len(generators)
+            if scans > _MAX_GENERATOR_SCANS:
+                raise SizeLimitError(
+                    f"Graver completion would scan more than {_MAX_GENERATOR_SCANS} generators"
+                )
+            s = _normal_form(tuple(a + b for a, b in zip(vector, g)), generators)
+            if any(s):
+                add_pair(s)
     return _minimal_elements(v for _, v in generators)
 
 

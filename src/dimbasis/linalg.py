@@ -2,13 +2,15 @@
 
 Floating point never enters. :func:`rank` runs on plain ints: one
 fraction-free forward elimination (Bareiss 1968), in :func:`_rank`, whose
-every division is exact. ``fractions.Fraction`` remains only in kernels and
-solves. A matrix is a sequence of rows, each row a sequence of integers.
-Elimination picks the first nonzero entry in each column as pivot, which makes
-every result deterministic. Kernels rest on :func:`_echelon` plus, in
-:func:`_kernel`, one back-substitution per free column. Systems are solved
-through that kernel, and ``enumeration.basis_set_invariants`` reads a basis
-set's reductions off it.
+every division is exact. So does :func:`integer_kernel_basis`, which reads
+the integer kernel lattice off a reduced Hermite form. ``fractions.Fraction``
+remains only in the rational kernel and what reads it. A matrix is a sequence
+of rows, each row a sequence of integers. Elimination picks the first nonzero
+entry in each column as pivot, which makes every result deterministic. The
+rational kernel rests on :func:`_echelon` plus, in :func:`_kernel`, one
+back-substitution per free column. :func:`solve_in_basis` reads its
+coefficients off one such kernel, and ``enumeration.basis_set_invariants`` a
+basis set's reductions.
 """
 
 from __future__ import annotations
@@ -183,78 +185,56 @@ def solve_in_basis(
     if len(cols) != r:
         raise ValueError(f"expected {r} basis columns (the matrix rank), got {len(cols)}")
 
-    columns = tuple(zip(*rows))
-    x = express_in_span([columns[c] for c in cols], columns[target_col])
-    if x is None:
+    kernel = _kernel([[row[c] for c in cols] + [row[target_col]] for row in rows])
+    if len(cols) not in kernel.free_columns:
         raise ValueError("target column lies outside the span of the basis columns")
-    return x
+    if len(kernel.free_columns) != 1:
+        raise ValueError("basis columns are not linearly independent")
+    return tuple(-x for x in kernel.vectors[0][:-1])
 
 
-def express_in_span(
-    vectors: Sequence[Sequence[int | Fraction]],
-    target: Sequence[int | Fraction],
-) -> tuple[Fraction, ...] | None:
-    """Solve sum(x_i * vectors[i]) == target for linearly independent vectors.
+def _hermite(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Reduced row Hermite form of an integer matrix, by Euclid row steps.
 
-    Returns None when the target is outside the span: a pivot in the last
-    column of ``[vectors | -target]``. Otherwise that matrix has one kernel
-    vector, 1 in the last column, and the coefficients are its other entries.
+    In each column the row with the least nonzero entry reduces the others by
+    floor division until one is left. It becomes the positive pivot, and the
+    rows above are reduced into [0, pivot). Every step is unimodular.
     """
-    k = len(vectors)
-    augmented = [[vector[j] for vector in vectors] + [-t] for j, t in enumerate(target)]
-    kernel = _kernel(augmented)
-    if k in kernel.pivot_columns:
-        return None
-    if len(kernel.vectors) != 1:
-        raise ValueError("vectors are not linearly independent")
-    return kernel.vectors[0][:k]
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with g = x*a + y*b and g >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
+    work = [list(row) for row in rows]
+    r = 0
+    for c in range(len(work[0])):
+        nonzero = [i for i in range(r, len(work)) if work[i][c]]
+        if not nonzero:
+            continue
+        while len(nonzero) > 1:
+            top = work[min(nonzero, key=lambda i: abs(work[i][c]))]
+            for i in nonzero:
+                if work[i] is not top:
+                    q = work[i][c] // top[c]
+                    work[i] = [x - q * t for x, t in zip(work[i], top)]
+            nonzero = [i for i in nonzero if work[i][c]]
+        work[r], work[nonzero[0]] = work[nonzero[0]], work[r]
+        if work[r][c] < 0:
+            work[r] = [-x for x in work[r]]
+        top = work[r]
+        for i in range(r):
+            if q := work[i][c] // top[c]:
+                work[i] = [x - q * t for x, t in zip(work[i], top)]
+        r += 1
+    return work
 
 
 def integer_kernel_basis(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Lattice basis of {c in Z^n : matrix @ c = 0}.
+    """Lattice basis of {c in Z^n : matrix @ c = 0}, in reduced Hermite form.
 
-    Works by unimodular column reduction: gcd column operations drive the
-    matrix to column-echelon form while the same operations are applied to an
-    identity matrix. The identity columns that end up mapping to zero form a
-    basis of the *saturated* integer kernel lattice, i.e. every integer kernel
-    vector is an integer combination of the returned vectors. (Clearing
-    denominators of a rational kernel basis does not guarantee that; it can
-    generate a proper sublattice.)
+    The basis is the I-part of the rows of the Hermite form of [matrix^T | I]
+    whose matrix^T part is zero. The row steps are unimodular, so it spans the
+    *saturated* kernel lattice; clearing the denominators of a rational kernel
+    basis can give a proper sublattice. The form is canonical: each vector's
+    first nonzero entry, its pivot, is positive and right of the previous
+    vector's, and the other vectors lie in [0, pivot) in its column.
     """
     rows = validate_matrix(matrix)
     m, n = len(rows), len(rows[0])
-    a = [list(row) for row in rows]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    pos = 0
-    for i in range(m):
-        if pos == n:
-            break
-        for j in range(pos + 1, n):
-            if a[i][j] == 0:
-                continue
-            p, q = a[i][pos], a[i][j]
-            g, x, y = _xgcd(p, q)
-            pg, qg = p // g, q // g
-            for mat in (a, u):
-                for row in mat:
-                    cp, cj = row[pos], row[j]
-                    row[pos] = x * cp + y * cj
-                    row[j] = pg * cj - qg * cp
-        if a[i][pos] != 0:
-            pos += 1
-    return tuple(tuple(u[i][j] for i in range(n)) for j in range(pos, n))
+    stacked = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    return tuple(tuple(row[m:]) for row in _hermite(stacked) if not any(row[:m]))

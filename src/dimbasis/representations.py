@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .enumeration import BasisSet, _check_size, basis_set_invariants, enumerate_basis_sets
 from .model import DimensionalMatrix, Invariant, _check_roles, _set, _Value
 
@@ -171,18 +170,33 @@ def express_dependent_invariant(
         dep_inv(source) = a * dep_inv(target) + sum(e_i * active_i(target))
 
     in exponent space, i.e. the source invariant as a power product of the
-    target representation's invariants. Returns None when the unique rational
-    solution is not integral (or does not exist). Both representations must
-    describe the same dependent quantity.
+    target representation's invariants. The coefficients are read off the
+    target's reduced invariants; returns None when they are not integers or
+    do not give the source (as for representations of different matrices).
+    Both representations must describe the same dependent quantity.
     """
     if source.dependent != target.dependent:
         raise ValueError("representations describe different dependent quantities")
-    generators = [target.dependent_invariant.exponents]
-    generators.extend(inv.exponents for inv in target.active_invariants)
-    coefficients = linalg.express_in_span(
-        generators, source.dependent_invariant.exponents
-    )
-    if coefficients is None or any(c.denominator != 1 for c in coefficients):
+    # Off the target's basis, each of its invariants is nonzero only at its own
+    # quantity, and a kernel vector is fixed by its entries there: each
+    # coefficient is the source's entry at that quantity over the invariant's.
+    goal = source.dependent_invariant.exponents
+    if len(goal) != len(target.dependent_invariant.exponents):
         return None
-    ints = [int(c) for c in coefficients]
-    return ints[0], tuple(ints[1:])
+    generators = (target.dependent_invariant, *target.active_invariants)
+    owners = [target.dependent] + [
+        j for j in range(len(goal)) if j != target.dependent and j not in target.basis
+    ]
+    coefficients = []
+    for invariant, j in zip(generators, owners):
+        own = invariant.exponents[j]
+        if not own or goal[j] % own:
+            return None
+        coefficients.append(goal[j] // own)
+    combined = tuple(
+        sum(c * e for c, e in zip(coefficients, column))
+        for column in zip(*(inv.exponents for inv in generators))
+    )
+    if combined != goal:
+        return None
+    return coefficients[0], tuple(coefficients[1:])

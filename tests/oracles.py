@@ -12,12 +12,15 @@ basis by its definition, the union of those reductions over every basis set.
 :func:`oracle_graver_completion` is the Pottier completion that sums both
 orientations of every new vector, from a lattice basis given by the caller,
 and :func:`oracle_box_minimal` the minimal kernel points of a box, found by
-testing every point of it. Only usable for small matrices.
+testing every point of it. :func:`oracle_is_kernel_lattice_basis` checks a
+lattice basis by its minors, and :func:`oracle_express` solves for a vector
+in the span of others by Cramer's rule. Only usable for small matrices.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 
@@ -54,6 +57,42 @@ def oracle_rank(columns: list[tuple[int, ...]]) -> int:
 def oracle_subset_rank(matrix: DimensionalMatrix, subset) -> int:
     cols = matrix.columns
     return oracle_rank([cols[j] for j in subset])
+
+
+def oracle_is_kernel_lattice_basis(rows, basis) -> bool:
+    """Whether *basis* is a basis of the lattice {c in Z^n : rows @ c = 0}.
+
+    It must lie in the kernel and hold n - rank vectors, and the gcd of its
+    k-by-k minors must be 1: then the vectors are independent and span every
+    integer vector of their rational span, which is the rational kernel.
+    """
+    n, k = len(rows[0]), len(basis)
+    if any(sum(a * x for a, x in zip(row, v)) for row in rows for v in basis):
+        return False
+    if k != n - oracle_rank(list(zip(*rows))):
+        return False
+    minors = (det([[v[j] for j in cols] for v in basis]) for cols in combinations(range(n), k))
+    return gcd(*minors) == 1
+
+
+def oracle_express(vectors, target) -> tuple[Fraction, ...] | None:
+    """Solve sum(x_i * vectors[i]) == target for linearly independent vectors.
+
+    Cramer's rule on k coordinates where the k vectors have a nonzero minor;
+    returns None when that solution misses the target on another coordinate.
+    """
+    k = len(vectors)
+
+    def minor(coords, replaced=None) -> int:
+        return det([[target[i] if c == replaced else vectors[c][i] for c in range(k)]
+                    for i in coords])
+
+    coords = next(s for s in combinations(range(len(target)), k) if minor(s))
+    d = minor(coords)
+    x = tuple(Fraction(minor(coords, c), d) for c in range(k))
+    if any(sum(xc * v[i] for xc, v in zip(x, vectors)) != t for i, t in enumerate(target)):
+        return None
+    return x
 
 
 def oracle_basis_sets(matrix: DimensionalMatrix) -> list[tuple[int, ...]]:

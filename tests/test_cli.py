@@ -527,27 +527,45 @@ def test_closed_stdout_prints_no_traceback(argv, unbuffered):
 
 @pytest.mark.parametrize("command", ["graver", "check"])
 def test_over_budget_completion_exits_2(capsys, monkeypatch, command):
-    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 10)
+    monkeypatch.setattr("dimbasis.graver._MAX_GENERATOR_SCANS", 10)
     code, out, err = run(capsys, command, "--input", PIPE)
     assert (code, out) == (2, "")
-    assert err == "error: Graver completion would compute more than 10 normal forms\n"
+    assert err == "error: Graver completion would scan more than 10 generators\n"
+
+
+def seeded_problem(rows) -> dict:
+    return {
+        "dimensions": ["D0", "D1", "D2"],
+        "quantities": [{"name": f"q{j}", "dims": list(col)} for j, col in enumerate(zip(*rows))],
+    }
+
+
+OVER_BUDGET = (2, "", "error: Graver completion would scan more than 30000000 generators\n")
 
 
 def test_seeded_3x8_completion_exits_2(capsys, tmp_path):
     # Seed 3 of the benchmark's column-major draw, 3 x 8 with entries in
     # [-2, 2]: the completion needs more than 200,000 normal forms.
     rows = [[-1, -1, 1, 2, 0, -1, 2, -1], [2, 0, 2, -2, 2, 1, 1, -1], [2, 2, -2, 1, -1, 2, 1, -1]]
-    doc = {
-        "dimensions": ["D0", "D1", "D2"],
-        "quantities": [{"name": f"q{j}", "dims": list(col)} for j, col in enumerate(zip(*rows))],
-    }
+    doc = seeded_problem(rows)
     path = tmp_path / "graver_3x8.dim"
     path.write_text(json.dumps(doc))
-    assert run(capsys, "graver", "--input", str(path)) == (
-        2, "", "error: Graver completion would compute more than 50000 normal forms\n"
-    )
+    assert run(capsys, "graver", "--input", str(path)) == OVER_BUDGET
     # The same problem is the fixture that CI runs through the installed script.
     assert json.loads((FIXTURE_DIR / "graver_3x8.dim").read_text(encoding="utf-8")) == doc
+
+
+def test_seeded_3x12_completion_exits_2(capsys):
+    # Seed 3, 3 x 12: a wide input whose generator list grows fast, so a budget
+    # on normal forms alone refused it only after about 25 s.
+    rows = [
+        [-1, -1, 1, 2, 0, -1, 2, -1, 2, -2, -2, 0],
+        [2, 0, 2, -2, 2, 1, 1, -1, 1, -1, 0, 1],
+        [2, 2, -2, 1, -1, 2, 1, -1, -2, 2, -2, 2],
+    ]
+    path = FIXTURE_DIR / "graver_3x12.dim"
+    assert json.loads(path.read_text(encoding="utf-8")) == seeded_problem(rows)
+    assert run(capsys, "graver", "--input", str(path)) == OVER_BUDGET
 
 
 def test_text_runs_are_deterministic(capsys):

@@ -117,12 +117,13 @@ def test_brute_force_box_cap(pipe, monkeypatch):
 
 
 def test_completion_budget_is_inclusive(pipe, monkeypatch):
-    # The pipe-flow completion computes 15 normal forms.
-    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 15)
+    # The pipe-flow completion computes 15 normal forms, which scan 132 generators
+    # in all, counting the list's length at each.
+    monkeypatch.setattr("dimbasis.graver._MAX_GENERATOR_SCANS", 132)
     assert len(graver_basis(pipe)) == 5
-    monkeypatch.setattr("dimbasis.graver._MAX_NORMAL_FORMS", 14)
+    monkeypatch.setattr("dimbasis.graver._MAX_GENERATOR_SCANS", 131)
     with pytest.raises(SizeLimitError,
-                       match=r"^Graver completion would compute more than 14 normal forms$"):
+                       match=r"^Graver completion would scan more than 131 generators$"):
         graver_basis(pipe)
 
 

@@ -8,13 +8,15 @@ import pytest
 
 from dimbasis import (
     BasisSet,
+    Invariant,
+    Representation,
     admissible_basis_sets,
     build_representation,
     equation_system,
     express_dependent_invariant,
 )
 from conftest import matrix_of
-from oracles import evaluate_invariant
+from oracles import evaluate_invariant, oracle_express
 
 F = Fraction
 
@@ -208,6 +210,82 @@ def test_dependent_invariants_relate_by_integer_products(pipe, two_body):
                         c + coeff * e for c, e in zip(combined, active.exponents)
                     ]
                 assert tuple(combined) == source.dependent_invariant.exponents
+
+
+def seeded_3x7(seed: int):
+    """The benchmark's column-major draw: 3 x 7, entries in [-3, 3]."""
+    rng = random.Random(seed)
+    columns = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(7)]
+    return matrix_of(("D0", "D1", "D2"), tuple((f"q{j}", col) for j, col in enumerate(columns)))
+
+
+def related_pairs(system) -> int:
+    """Checks the read-off against the rational solve, and counts related pairs.
+
+    Pairs of a representation with itself are not counted.
+    """
+    related = 0
+    for source in system.representations:
+        for target in system.representations:
+            result = express_dependent_invariant(source, target)
+            generators = (target.dependent_invariant, *target.active_invariants)
+            x = oracle_express([g.exponents for g in generators],
+                               source.dependent_invariant.exponents)
+            if x is None or any(c.denominator != 1 for c in x):
+                assert result is None
+                continue
+            assert result == (int(x[0]), tuple(int(c) for c in x[1:]))
+            a, exponents = result
+            combined = [a * e for e in target.dependent_invariant.exponents]
+            for coeff, active in zip(exponents, target.active_invariants):
+                combined = [c + coeff * e for c, e in zip(combined, active.exponents)]
+            assert tuple(combined) == source.dependent_invariant.exponents
+            related += source is not target
+    return related
+
+
+def test_dependent_invariant_read_off_matches_rational_solve(
+    pipe, laminar, falling_body, two_body
+):
+    counts = [
+        related_pairs(equation_system(matrix, 0, excluded))
+        for matrix, excluded in ((falling_body, (4,)), (pipe, ()), (two_body, ()), (laminar, ()))
+    ]
+    assert counts == [6, 12, 2, 0]
+    seeded = [related_pairs(equation_system(seeded_3x7(seed), 0)) for seed in range(6)]
+    assert seeded == [109, 96, 148, 60, 49, 74]
+
+
+def test_express_dependent_invariant_refuses_different_dependents(pipe):
+    source = equation_system(pipe, 0).representations[0]
+    target = equation_system(pipe, 1).representations[0]
+    with pytest.raises(ValueError, match="^representations describe different dependent"):
+        express_dependent_invariant(source, target)
+
+
+def test_read_off_gives_none_unless_it_gives_the_source(pipe, laminar):
+    source = equation_system(pipe, 0).representations[1]
+    # A zero at the invariant's own quantity leaves its coefficient undefined.
+    broken = Representation(
+        dependent=0,
+        basis=source.basis,
+        scaling=source.scaling,
+        dependent_invariant=Invariant((0,) + source.dependent_invariant.exponents[1:]),
+        active_invariants=source.active_invariants,
+    )
+    assert express_dependent_invariant(source, broken) is None
+    # The same quantities with another velocity dimension: the coefficients read
+    # off the non-basis entries, (1, (0,)), miss the source on the basis.
+    other = matrix_of(("L", "T", "M"), tuple(
+        (q.name, (1, -2, 0) if q.name == "u" else q.dims) for q in pipe.quantities
+    ))
+    target = equation_system(other, 0).representations[1]
+    assert source.basis == target.basis
+    assert express_dependent_invariant(source, target) is None
+    # Representations over different numbers of quantities.
+    fewer = equation_system(laminar, 0).representations[0]
+    assert express_dependent_invariant(source, fewer) is None
+    assert express_dependent_invariant(fewer, source) is None
 
 
 def test_representations_agree_numerically(pipe, falling_body, two_body):
