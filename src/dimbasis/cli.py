@@ -200,8 +200,8 @@ def _run_checks(problem: Problem, args) -> list[tuple[str, bool, str]]:
     method, bound = _parse_graver_method(args.graver_method)
 
     # Every subset-capped stage is charged before any starts, so an input over
-    # the subset cap fails before the Graver completion, whose normal-form cap
-    # is reached only after it has run.
+    # the subset cap fails before the Graver completion, whose generator-scan
+    # budget is reached only after it has run.
     enumeration._check_size(
         matrix, "circuit scan", "basis-set enumeration", "basis-set reductions"
     )

@@ -10,10 +10,13 @@ Minimal elements are primitive and come with their sign flips, so
 values, the same type as the circuit basis, and the two compare as sets:
 the embedding is ``set(circuit_basis(m)) <= graver_basis(m)``.
 
-Each vector carries its signed support as one int, bit i for a positive
-entry i and bit n + i for a negative one. ``x <= y`` needs the support of x
-inside that of y, an int test that rejects most pairs before the entrywise
-one. Two methods are provided:
+Each vector v of length n is one int A(v) of 2n fields of w bits: field i
+holds max(v_i, 0), field n + i holds max(-v_i, 0), and the top bit of each
+field is a guard, kept clear. With H the guard bits, ``x <= y`` exactly when
+``((A(y) | H) - A(x)) & H == H``, signs included; then A(y - x) = A(y) - A(x)
+and A(x) <= A(y) as ints. Negation swaps the halves, and ``(A + H - L) & H``,
+with L the low bit of each field, is the signed support. Two methods are
+provided:
 
 * ``completion``: a Pottier-style completion. Starting from the reduced
   Hermite basis of the integer kernel lattice plus negations, each new
@@ -22,7 +25,9 @@ one. Two methods are provided:
   sign-compatible vectors is skipped, since it reduces to 0 through either of
   them. The starting basis is saturated (see
   :func:`dimbasis.linalg.integer_kernel_basis`), which makes the result the
-  full Graver basis regardless of processing order.
+  full Graver basis regardless of processing order. The fields start as wide
+  as the largest basis entry needs; a sum that does not fit widens them by a
+  bit, so any input stays exact.
 * ``brute_force``: enumerate kernel points with all entries bounded and keep
   the minimal ones. Exact for every element within the bound, but blind to
   Graver elements with larger entries; useful as an independent check. The
@@ -54,6 +59,9 @@ MAX_BOX_POINTS = 10**6
 # the cap lets it finish and stops 3 x 8 in about 2 s and 3 x 12 in about 1 s.
 _MAX_GENERATOR_SCANS = 30_000_000
 
+# The completion's least field width: entries up to 127 fit without widening.
+_MIN_FIELD_WIDTH = 8
+
 
 def conforms(x: Sequence[int], y: Sequence[int]) -> bool:
     """Whether x <= y in the sign-compatible entrywise order.
@@ -65,40 +73,46 @@ def conforms(x: Sequence[int], y: Sequence[int]) -> bool:
     return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(x, y))
 
 
-def _signs(v: Vector) -> int:
-    """The signed support of v: bit i for a positive entry i, bit n + i for a negative one."""
+def _guards(width: int, fields: int) -> int:
+    return sum(1 << (width * k + width - 1) for k in range(fields))
+
+
+def _pack(v: Vector, width: int) -> int:
     n = len(v)
-    return sum(1 << (i if x > 0 else n + i) for i, x in enumerate(v) if x)
+    return sum(x << (width * i) if x > 0 else -x << (width * (n + i)) for i, x in enumerate(v))
 
 
-def _normal_form(v: Vector, generators: Sequence[tuple[int, Vector]]) -> Vector:
-    # g <= v needs the signed support of g inside that of v: one int test that
-    # rejects most generators before the entrywise one.
-    signs = _signs(v)
-    while signs:
-        for mask, g in generators:
-            if mask | signs == signs and all(abs(a) <= abs(b) for a, b in zip(g, v)):
-                v = tuple(b - a for a, b in zip(g, v))
-                signs = _signs(v)
+def _unpack(packed: Iterable[int], width: int, n: int) -> list[Vector]:
+    field = (1 << width) - 1
+    return [
+        tuple((a >> (width * i) & field) - (a >> (width * (n + i)) & field) for i in range(n))
+        for a in packed
+    ]
+
+
+def _normal_form(a: int, generators: Sequence[int], guards: int) -> int:
+    # g <= a exactly when taking g from a with every guard set clears no guard.
+    while a:
+        high = a | guards
+        for g in generators:
+            if (high - g) & guards == guards:
+                a -= g
                 break
         else:
             break
-    return v
+    return a
 
 
-def _minimal_elements(vectors: Iterable[Vector]) -> set[Vector]:
-    # A vector strictly below v has a smaller 1-norm, so in 1-norm order v is
-    # minimal exactly when none of the minimal elements kept so far is below it
-    # (a repeat of v is below v, so it is dropped).
-    minimal: list[tuple[int, Vector]] = []
-    for v in sorted(vectors, key=lambda v: sum(map(abs, v))):
-        signs = _signs(v)
-        if not any(
-            mask | signs == signs and all(abs(a) <= abs(b) for a, b in zip(w, v))
-            for mask, w in minimal
-        ):
-            minimal.append((signs, v))
-    return {v for _, v in minimal}
+def _minimal_elements(vectors: Iterable[int], guards: int) -> list[int]:
+    # A packed vector strictly below v is a smaller int, so in increasing order v
+    # is minimal exactly when none of the minimal elements kept so far is below
+    # it (a repeat of v is below v, so it is dropped).
+    minimal: list[int] = []
+    for v in sorted(vectors):
+        high = v | guards
+        if not any((high - w) & guards == guards for w in minimal):
+            minimal.append(v)
+    return minimal
 
 
 def _completion(rows: Sequence[Sequence[int]]) -> set[Vector]:
@@ -108,32 +122,55 @@ def _completion(rows: Sequence[Sequence[int]]) -> set[Vector]:
     # A sum of sign-compatible v and g is not formed either: g <= v + g, so it
     # reduces through g to v and then to 0. They are compatible exactly when g
     # shares no signed support with -v.
-    generators: list[tuple[int, Vector]] = []
-    # A new vector waits with the number of generators before it; its sums with
-    # those are formed when it is reached, in the order a queue of sums would have.
-    pending: deque[tuple[Vector, int, int]] = deque()
+    basis = linalg.integer_kernel_basis(rows)
+    n = len(rows[0])
+    largest = max((abs(x) for b in basis for x in b), default=0)
+    width = max(_MIN_FIELD_WIDTH, largest.bit_length() + 1)
 
-    def add_pair(vector: Vector) -> None:
-        negated = tuple(-x for x in vector)
-        clashes = _signs(negated)
-        pending.append((vector, clashes, len(generators)))
-        generators.extend(((_signs(vector), vector), (clashes, negated)))
+    def layout(width: int) -> tuple[int, int, int, int, int]:
+        # (A + support) & guards is the signed support of A; half holds the
+        # guards and low the fields of the positive half.
+        guards, low = _guards(width, 2 * n), (1 << (width * n)) - 1
+        return guards, guards - (guards >> (width - 1)), guards & low, low, width * n
 
-    for b in linalg.integer_kernel_basis(rows):
-        add_pair(b)
+    guards, support, half, low, shift = layout(width)
+    generators: list[int] = []
+    # A new vector waits as its index, the number of generators before it; its
+    # sums with those are formed when it is reached, in the order a queue of
+    # sums would have.
+    pending: deque[int] = deque()
+
+    def add_pair(a: int) -> None:
+        pending.append(len(generators))
+        generators.extend((a, (a >> shift) | (a & low) << shift))
+
+    for b in basis:
+        add_pair(_pack(b, width))
     scans = 0
     while pending:
-        vector, clashes, count = pending.popleft()
-        for g in [g for mask, g in generators[:count] if mask & clashes]:
+        i = pending.popleft()
+        clashes = (generators[i + 1] + support) & guards
+        for j in [j for j, g in enumerate(generators[:i]) if (g + support) & clashes]:
             scans += len(generators)
             if scans > _MAX_GENERATOR_SCANS:
                 raise SizeLimitError(
                     f"Graver completion would scan more than {_MAX_GENERATOR_SCANS} generators"
                 )
-            s = _normal_form(tuple(a + b for a, b in zip(vector, g)), generators)
-            if any(s):
+            while (s := generators[i] + generators[j]) & guards:
+                # A field of the sum overflows into its guard: widen every field.
+                vectors = _unpack(generators, width, n)
+                width += 1
+                guards, support, half, low, shift = layout(width)
+                generators[:] = [_pack(v, width) for v in vectors]
+            # Cancel the halves: d's guard i is set where s_i >= s_n+i, and its
+            # field i holds s_i - s_n+i + 2^(w-1) in (0, 2^w).
+            d = (s & low | half) - (s >> shift)
+            kept = d & half
+            pos = d & (kept - (kept >> (width - 1)))
+            s = _normal_form(pos | (half - d + pos) << shift, generators, guards)
+            if s:
                 add_pair(s)
-    return _minimal_elements(v for _, v in generators)
+    return set(_unpack(_minimal_elements(generators, guards), width, n))
 
 
 def _half_box(rows: Sequence[Sequence[int]], bound: int) -> dict[Vector, list[Vector]]:
@@ -147,7 +184,8 @@ def _half_box(rows: Sequence[Sequence[int]], bound: int) -> dict[Vector, list[Ve
 def _brute_force(rows: Sequence[Sequence[int]], bound: int) -> set[Vector]:
     # Meet in the middle: a kernel point is a left half-point and a right one
     # whose images cancel.
-    h = len(rows[0]) // 2
+    n = len(rows[0])
+    h = n // 2
     left = _half_box([row[:h] for row in rows], bound)
     points = (
         x + y
@@ -155,7 +193,9 @@ def _brute_force(rows: Sequence[Sequence[int]], bound: int) -> set[Vector]:
         for x in left.get(tuple(-e for e in image), ())
         for y in rights
     )
-    return _minimal_elements(p for p in points if any(p))
+    width = bound.bit_length() + 1
+    packed = (_pack(p, width) for p in points if any(p))
+    return set(_unpack(_minimal_elements(packed, _guards(width, 2 * n)), width, n))
 
 
 def graver_basis(
@@ -197,5 +237,7 @@ def graver_basis(
         vectors = _brute_force(rows, bound)
     else:
         raise ValueError(f"unknown Graver method: {method!r}")
-    return frozenset(InvariantPair(Invariant(v)) for v in vectors)
+    # Both orientations are minimal: build each pair once, from the orientation
+    # with a positive first nonzero entry.
+    return frozenset(InvariantPair(Invariant(v)) for v in vectors if next(filter(None, v)) > 0)
 

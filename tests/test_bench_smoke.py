@@ -1,7 +1,9 @@
 """Smoke run of the benchmark harness on its smallest inputs.
 
 The traced run patches package functions by name, so this also fails when a
-function the benchmark reports on is renamed or deleted. The traced ``cli``
+function the benchmark reports on is renamed or deleted, such as the Graver
+stages ``_completion``, ``_brute_force`` and ``_minimal_elements`` and the
+counted ``conforms``. The traced ``cli``
 child imports ``dimbasis.cli`` before it patches, so that run also fails when
 a module that ``cli`` loads on demand escapes the patching.
 """
@@ -19,7 +21,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
-@pytest.mark.parametrize("workload", ["enumerate", "cli"])
+@pytest.mark.parametrize("workload", ["enumerate", "graver", "cli"])
 def test_smoke_run(workload, trace):
     result = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",

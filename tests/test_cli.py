@@ -568,6 +568,15 @@ def test_seeded_3x12_completion_exits_2(capsys):
     assert run(capsys, "graver", "--input", str(path)) == OVER_BUDGET
 
 
+def test_graver_of_entries_past_40_bits(capsys):
+    # The one Graver pair has entries up to 5 * 10^11, so its packed fields are
+    # 40 bits wide. CI runs the same fixture through the installed script.
+    path = FIXTURE_DIR / "graver_wide_entries.dim"
+    assert run(capsys, "graver", "--input", str(path)) == (
+        0, "a^26 / (b^500000000007·c^299999999999)\n", ""
+    )
+
+
 def test_text_runs_are_deterministic(capsys):
     first = run(capsys, "unified-basis", "--input", FALLING)
     second = run(capsys, "unified-basis", "--input", FALLING)

@@ -232,3 +232,69 @@ def test_box_search_matches_box_oracle_on_random_matrices():
     for rows in DIFFERENTIAL:
         for bound in (1, 2):
             assert graver._brute_force(rows, bound) == oracle_box_minimal(rows, bound), rows
+
+
+# Matrices with entries in [-300, 300], a few large among small ones: random
+# draws of 1 x 3 to 2 x 5, kept where the two-orientation reference finishes in
+# well under a second. Their Graver elements reach entries of 149 to 51,554,
+# past what the completion's starting field width of 8 bits holds (127).
+WIDE = [
+    [[-246, -219, -1]],
+    [[2, -190, -159]],
+    [[-104, -1, -289]],
+    [[-269, 1, 0, -85]],
+    [[123, 1, 0, 180]],
+    [[-1, 2, -298], [-1, -173, 0]],
+    [[-2, -69, -1], [-195, -2, -1]],
+    [[-278, -2, 1, 0], [-1, 2, -2, 0]],
+    [[0, 2, -2, -1], [-44, 1, -157, 0]],
+    [[-1, -2, 1, -1], [20, 0, -1, 160]],
+    [[-2, -1, -184, 0], [2, -1, 0, 29]],
+    [[0, -225, -1, -80, 2], [0, 2, -1, 1, -1]],
+    [[0, 0, -2, 0, 2], [-42, -275, 1, -1, -1]],
+    [[-150, 2, 1, 2, -1], [1, -2, -1, 0, 1]],
+    [[2, -1, -190, -2, 0], [-2, 0, 2, 2, 0]],
+]
+
+
+def test_completion_matches_reference_on_wide_entries():
+    for rows in WIDE:
+        completed = graver._completion(rows)
+        assert completed == oracle_graver_completion(linalg.integer_kernel_basis(rows)), rows
+        assert max(abs(x) for v in completed for x in v) > 127, rows
+
+
+def test_box_search_matches_box_oracle_on_wide_entries():
+    for rows in WIDE:
+        for bound in (1, 2):
+            assert graver._brute_force(rows, bound) == oracle_box_minimal(rows, bound), rows
+
+
+def test_completion_from_the_least_field_width(pipe, laminar, falling_body, two_body, monkeypatch):
+    # Each case is completed with the fields starting as narrow as its lattice
+    # basis allows, so a sum that outgrows them widens them, and must give the
+    # same Graver set as at the default width. 14 of the 87 cases widen, the
+    # pipe among them; the other fixtures' sums never outgrow their bases.
+    cases = [m.rows for m in (pipe, laminar, falling_body, two_body)]
+    cases += WIDE + DIFFERENTIAL + [rows for rows, _ in SEEDED.values()]
+    expected = [graver._completion(rows) for rows in cases]
+    widths: list[int] = []
+    pack = graver._pack
+    monkeypatch.setattr("dimbasis.graver._pack", lambda v, width: widths.append(width) or pack(v, width))
+    monkeypatch.setattr("dimbasis.graver._MIN_FIELD_WIDTH", 1)
+    widened = []
+    for rows, elements in zip(cases, expected):
+        widths.clear()
+        assert graver._completion(rows) == elements, rows
+        widened.append(len(set(widths)) > 1)
+    assert widened[0] and sum(widened) >= 10
+
+
+def test_box_search_joins_halves_of_unlike_row_sums():
+    # The left columns' row sums are 1 and 2, the right ones' 241 and 4: a join
+    # that encodes the two halves' images differently loses these points.
+    rows = [[0, 1, 120, -121, 0], [1, 1, 0, 1, -3]]
+    for bound in (1, 2, 3):
+        found = graver._brute_force(rows, bound)
+        assert found == oracle_box_minimal(rows, bound)
+        assert found
