@@ -35,7 +35,9 @@ from math import comb
 from typing import Iterator, Sequence
 
 from . import linalg
-from .model import DimensionalMatrix, Invariant, InvariantPair, SizeLimitError, _set, _Value
+from .model import (
+    DimensionalMatrix, Invariant, InvariantPair, SizeLimitError, _check_index, _set, _Value,
+)
 
 # A scanned subset costs one Fraction kernel, 0.55 ms in the rank-6 circuit scan
 # on 20 quantities (75 s for 137,979 subsets, Python 3.11) and more at higher
@@ -48,13 +50,18 @@ class IndexSet(_Value):
     """Sorted, distinct column indices of a set of quantities.
 
     Serves both as a basis set (a maximal independent set, possibly empty)
-    and as a circuit set (a minimal dependent set).
+    and as a circuit set (a minimal dependent set). Each index is an ``int``,
+    not a ``bool``.
     """
 
     __slots__ = ("indices",)
     indices: tuple[int, ...]
 
     def __init__(self, indices: Sequence[int]):
+        indices = tuple(indices)
+        for j in indices:
+            if type(j) is not int:  # a bool would pass as 0 or 1
+                raise ValueError(f"index must be an integer, got {j!r}")
         indices = tuple(sorted(indices))
         if len(set(indices)) != len(indices):
             raise ValueError("indices must be distinct")
@@ -113,11 +120,10 @@ def _check_size(matrix: DimensionalMatrix, *stages: str, barred: int = 0) -> Non
 
 
 def _subset_rows(matrix: DimensionalMatrix, subset: Sequence[int]) -> tuple:
-    """The rows of the chosen columns; each index must name a quantity."""
+    """The rows of the chosen columns; each index must be an int naming a quantity."""
     n = len(matrix.quantities)
     for j in subset:
-        if not 0 <= j < n:
-            raise ValueError(f"quantity index {j} out of range for {n} quantities")
+        _check_index("quantity", j, n)
     cols = matrix.columns
     return tuple(tuple(cols[j][i] for j in subset) for i in range(matrix.system.size))
 

@@ -31,15 +31,16 @@ provided:
 * ``brute_force``: enumerate kernel points with all entries bounded and keep
   the minimal ones. Exact for every element within the bound, but blind to
   Graver elements with larger entries; useful as an independent check. The
-  search meets in the middle: it groups the points of each half of the
-  columns by their image and joins the halves on opposite images. The box
-  holds (2*bound + 1)^n points; one of more than :data:`MAX_BOX_POINTS`
-  raises :class:`~dimbasis.model.SizeLimitError` before the search starts.
+  search meets in the middle: it groups the points of the left half of the
+  columns by their image, then looks each point of the right half up by its
+  negated image. The box holds (2*bound + 1)^n points; one of more than
+  :data:`MAX_BOX_POINTS` raises :class:`~dimbasis.model.SizeLimitError`
+  before the search starts.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from itertools import product
 from operator import mul
 from typing import Iterable, Sequence
@@ -135,20 +136,18 @@ def _completion(rows: Sequence[Sequence[int]]) -> set[Vector]:
 
     guards, support, half, low, shift = layout(width)
     generators: list[int] = []
-    # A new vector waits as its index, the number of generators before it; its
-    # sums with those are formed when it is reached, in the order a queue of
-    # sums would have.
-    pending: deque[int] = deque()
 
     def add_pair(a: int) -> None:
-        pending.append(len(generators))
         generators.extend((a, (a >> shift) | (a & low) << shift))
 
     for b in basis:
         add_pair(_pack(b, width))
     scans = 0
-    while pending:
-        i = pending.popleft()
+    # Each vector sits at an even index i, its negation at i + 1; its sums with
+    # the generators before it are formed when i is reached, so vectors are
+    # processed in the order they were added.
+    i = 0
+    while i < len(generators):
         clashes = (generators[i + 1] + support) & guards
         for j in [j for j, g in enumerate(generators[:i]) if (g + support) & clashes]:
             scans += len(generators)
@@ -170,28 +169,25 @@ def _completion(rows: Sequence[Sequence[int]]) -> set[Vector]:
             s = _normal_form(pos | (half - d + pos) << shift, generators, guards)
             if s:
                 add_pair(s)
+        i += 2
     return set(_unpack(_minimal_elements(generators, guards), width, n))
-
-
-def _half_box(rows: Sequence[Sequence[int]], bound: int) -> dict[Vector, list[Vector]]:
-    """The points of the box over the columns of rows, grouped by their image."""
-    images: defaultdict[Vector, list[Vector]] = defaultdict(list)
-    for point in product(range(-bound, bound + 1), repeat=len(rows[0])):
-        images[tuple(sum(map(mul, row, point)) for row in rows)].append(point)
-    return images
 
 
 def _brute_force(rows: Sequence[Sequence[int]], bound: int) -> set[Vector]:
     # Meet in the middle: a kernel point is a left half-point and a right one
-    # whose images cancel.
+    # whose images cancel. Only the left half's points are grouped by image; the
+    # right half's are streamed and looked up by their negated image.
     n = len(rows[0])
     h = n // 2
-    left = _half_box([row[:h] for row in rows], bound)
+    values = range(-bound, bound + 1)
+    left_rows, right_rows = [row[:h] for row in rows], [row[h:] for row in rows]
+    left: defaultdict[Vector, list[Vector]] = defaultdict(list)
+    for x in product(values, repeat=h):
+        left[tuple(sum(map(mul, row, x)) for row in left_rows)].append(x)
     points = (
         x + y
-        for image, rights in _half_box([row[h:] for row in rows], bound).items()
-        for x in left.get(tuple(-e for e in image), ())
-        for y in rights
+        for y in product(values, repeat=n - h)
+        for x in left.get(tuple(-sum(map(mul, row, y)) for row in right_rows), ())
     )
     width = bound.bit_length() + 1
     packed = (_pack(p, width) for p in points if any(p))

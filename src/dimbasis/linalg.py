@@ -7,10 +7,10 @@ the integer kernel lattice off a reduced Hermite form. ``fractions.Fraction``
 remains only in the rational kernel and what reads it. A matrix is a sequence
 of rows, each row a sequence of integers. Elimination picks the first nonzero
 entry in each column as pivot, which makes every result deterministic. The
-rational kernel rests on :func:`_echelon` plus, in :func:`_kernel`, one
-back-substitution per free column. :func:`solve_in_basis` reads its
-coefficients off one such kernel, and ``enumeration.basis_set_invariants`` a
-basis set's reductions.
+rational kernel is one routine, :func:`_kernel`: forward elimination over
+Fractions, then one back-substitution per free column. :func:`solve_in_basis`
+reads its coefficients off one such kernel, and
+``enumeration.basis_set_invariants`` a basis set's reductions.
 """
 
 from __future__ import annotations
@@ -49,29 +49,6 @@ def validate_matrix(matrix: Sequence[Sequence[int]]) -> IntMatrix:
     return rows
 
 
-def _echelon(rows: Sequence[Sequence[int | Fraction]]):
-    """Forward elimination; returns (reduced rows, pivot column indices)."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    m, n = len(work), len(work[0])
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(r + 1, m):
-            if work[i][c]:
-                factor = work[i][c] / work[r][c]
-                for j in range(c, n):
-                    work[i][j] -= factor * work[r][j]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    return work, pivot_cols
-
-
 def _rank(rows: Sequence[Sequence[int]]) -> int:
     """:func:`rank` without validation: fraction-free elimination on plain ints.
 
@@ -104,10 +81,26 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
     return _rank(validate_matrix(matrix))
 
 
-def _kernel(rows: Sequence[Sequence[int | Fraction]]) -> KernelBasis:
-    """:func:`kernel_basis` without validation, so entries may be Fractions."""
-    work, pivot_cols = _echelon(rows)
-    n = len(rows[0])
+def _kernel(rows: Sequence[Sequence[int]]) -> KernelBasis:
+    """:func:`kernel_basis` without validation: see the module docstring."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    m, n = len(work), len(work[0])
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, m):
+            if work[i][c]:
+                factor = work[i][c] / work[r][c]
+                for j in range(c, n):
+                    work[i][j] -= factor * work[r][j]
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
     pivot_set = set(pivot_cols)
     free_cols = tuple(j for j in range(n) if j not in pivot_set)
     vectors = []
@@ -167,6 +160,7 @@ def solve_in_basis(
         basis_cols: indices of linearly independent columns; their count must
             equal the rank of the whole matrix, so they span the column space.
         target_col: index of the column to express; must not be a basis column.
+            Every index is an ``int``, not a ``bool``.
 
     Returns:
         Exact rational coefficients, ordered like ``basis_cols``.
@@ -174,11 +168,13 @@ def solve_in_basis(
     rows = validate_matrix(matrix)
     n = len(rows[0])
     cols = list(basis_cols)
-    if len(set(cols)) != len(cols):
-        raise ValueError("basis columns contain duplicates")
     for c in cols + [target_col]:
+        if type(c) is not int:  # a bool would pass as 0 or 1
+            raise ValueError(f"column index must be an integer, got {c!r}")
         if not 0 <= c < n:
             raise ValueError(f"column index {c} out of range for {n} columns")
+    if len(set(cols)) != len(cols):
+        raise ValueError("basis columns contain duplicates")
     if target_col in cols:
         raise ValueError("target column must not be a basis column")
     r = rank(rows)

@@ -96,7 +96,7 @@ class DimensionSystem(_Value):
         if not names:
             raise ValueError("dimensions: expected at least one dimension")
         for k, name in enumerate(names):
-            if not DIMENSION_NAME_RE.fullmatch(name):
+            if not isinstance(name, str) or not DIMENSION_NAME_RE.fullmatch(name):
                 raise ValueError(f"dimensions[{k}]: invalid dimension name {name!r}")
             if name in names[:k]:
                 raise ValueError(f"dimensions[{k}]: duplicate dimension {name!r}")
@@ -121,7 +121,7 @@ class Quantity(_Value):
 
     def __init__(self, name: str, dims: Sequence[int], display: str | None = None):
         dims = tuple(dims)
-        if not QUANTITY_NAME_RE.fullmatch(name):
+        if not isinstance(name, str) or not QUANTITY_NAME_RE.fullmatch(name):
             raise ValueError(
                 f"name: invalid quantity name {name!r} "
                 "(letters, digits and _ ( ) . / + ' - are allowed, no whitespace)"
@@ -222,9 +222,10 @@ def _check_roles(
 class Invariant(_Value):
     """Exponent vector of a minimal invariant power product.
 
-    Entries are coprime integers over the full quantity order (zeros where a
-    quantity does not participate). Both orientations of a pair are valid
-    Invariants; see :class:`InvariantPair` for the canonical representative.
+    Entries are coprime ``int`` values (not ``bool``) over the full quantity
+    order (zeros where a quantity does not participate). Both orientations of
+    a pair are valid Invariants; see :class:`InvariantPair` for the canonical
+    representative.
     """
 
     __slots__ = ("exponents",)
@@ -232,6 +233,9 @@ class Invariant(_Value):
 
     def __init__(self, exponents: Sequence[int]):
         exponents = tuple(exponents)
+        for e in exponents:
+            if type(e) is not int:  # a bool would pass as 0 or 1, a float fails gcd
+                raise ValueError(f"exponents must be integers, got {e!r}")
         nonzero = [abs(e) for e in exponents if e]
         if not nonzero:
             raise ValueError("an invariant cannot have an all-zero exponent vector")

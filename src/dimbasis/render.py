@@ -26,18 +26,13 @@ _LATEX_GROUP_CHARS = _TEXT_GROUP_CHARS - {"^"}
 _FUNCTION_NAME_RE = re.compile(r"([A-Za-z]+)_(\d+)")
 
 
-def _format_exponent_text(e: int | Fraction) -> str:
+def _format_exponent(e: int | Fraction, style: str) -> str:
+    # A fraction is parenthesized in text; in LaTeX the superscript braces group it.
     e = Fraction(e)
     if e.denominator == 1:
         return str(e.numerator)
-    return f"({e.numerator}/{e.denominator})"
-
-
-def _format_exponent_latex(e: int | Fraction) -> str:
-    e = Fraction(e)
-    if e.denominator == 1:
-        return str(e.numerator)
-    return f"{e.numerator}/{e.denominator}"
+    ratio = f"{e.numerator}/{e.denominator}"
+    return ratio if style == "latex" else f"({ratio})"
 
 
 def _text_factor(label: str, exponent: int | Fraction) -> str:
@@ -45,7 +40,7 @@ def _text_factor(label: str, exponent: int | Fraction) -> str:
         label = f"({label})"
     if exponent == 1:
         return label
-    return f"{label}^{_format_exponent_text(exponent)}"
+    return f"{label}^{_format_exponent(exponent, 'text')}"
 
 
 def _latex_factor(label: str, exponent: int | Fraction) -> str:
@@ -55,7 +50,7 @@ def _latex_factor(label: str, exponent: int | Fraction) -> str:
         label = rf"\left({label}\right)"
     elif "^" in label:  # a second bare superscript is a TeX error
         label = f"{{{label}}}"
-    return f"{label}^{{{_format_exponent_latex(exponent)}}}"
+    return f"{label}^{{{_format_exponent(exponent, 'latex')}}}"
 
 
 def render_power_product(

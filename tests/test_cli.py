@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 
@@ -17,6 +19,7 @@ PIPE = str(FIXTURE_DIR / "pipe.dim")
 LAMINAR = str(FIXTURE_DIR / "laminar.dim")
 FALLING = str(FIXTURE_DIR / "falling_body.dim")
 TWO_BODY = str(FIXTURE_DIR / "two_body.dim")
+REPO = FIXTURE_DIR.parent.parent
 
 
 def run(capsys, *argv):
@@ -767,3 +770,32 @@ def test_fuzz_arbitrary_json(fuzz_path, doc, command, fmt):
 @given(data=mutated_fixtures(), command=commands, fmt=formats)
 def test_fuzz_mutated_fixtures(fuzz_path, data, command, fmt):
     check_contract(fuzz_path, data, command, fmt)
+
+
+def packaging_expectations() -> list[tuple[list[str], str]]:
+    """The console-script runs whose stdout the CI ``packaging`` job spells out.
+
+    Each is the argument list and the exact stdout: a ``test "$(...)" = value``
+    line, or a run into ``file.txt`` checked by ``diff - file.txt <<'EOF'``.
+    """
+    text = (REPO / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    runs = [(args, value + "\n") for args, value in
+            re.findall(r'test "\$\("\$bin/dimbasis" ([^)\n]*)\)" = (\S+)', text)]
+    heredoc = r"^( *)\"\$bin/dimbasis\" ([^\n]*) > (\S+)\n\1diff - \3 <<'EOF'\n(.*?)^\1EOF$"
+    for indent, args, _, body in re.findall(heredoc, text, re.M | re.S):
+        runs.append((args, "".join(line[len(indent):] + "\n" for line in body.splitlines())))
+    paths = {"$pipe": PIPE, "$GITHUB_WORKSPACE": str(REPO)}
+    return [
+        (shlex.split(re.sub(r"\$\w+", lambda v: paths[v.group()], args)), stdout)
+        for args, stdout in runs
+    ]
+
+
+def test_packaging_job_expects_what_the_cli_prints():
+    # The job installs the package from the network, so it runs only in CI;
+    # its hard-coded outputs are checked here against the in-process CLI.
+    cases = packaging_expectations()
+    assert [argv[0] for argv, _ in cases] == ["rank", "check", "graver"]
+    for argv, stdout in cases:
+        code, out, err = run_main(argv)
+        assert (code, out.decode("utf-8"), err) == (0, stdout, b""), argv

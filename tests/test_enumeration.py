@@ -123,6 +123,22 @@ def test_basis_set_invariants_rejects_indices_outside_the_quantities(pipe):
         basis_set_invariants(pipe, BasisSet((1, 2, 9)))
 
 
+@pytest.mark.parametrize("subset, bad", [([True, 2], "True"), ([0.5], "0.5")])
+def test_circuit_test_rejects_non_integer_indices(pipe, subset, bad):
+    # True used to pass as column 1, and 0.5 raised TypeError.
+    with pytest.raises(ValueError, match=f"^quantity index must be an integer, got {bad}$"):
+        is_circuit_set(pipe, subset)
+
+
+def test_circuit_test_of_empty_and_repeated_subsets(pipe):
+    assert not is_circuit_set(pipe, ())
+    assert not is_circuit_set(pipe, (1, 1))
+
+
+def test_index_set_iterates_in_sorted_order():
+    assert list(BasisSet((3, 0, 1))) == [0, 1, 3]
+
+
 def test_circuit_test_runs_one_elimination_and_no_rank(pipe, monkeypatch):
     calls = []
     for name in ("rank", "kernel_basis"):

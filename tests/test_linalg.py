@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimbasis import build_matrix, linalg
+from conftest import pipe_matrix
 from oracles import oracle_express, oracle_is_kernel_lattice_basis, oracle_rank
+
+PIPE_ROWS = pipe_matrix().rows
 
 F = Fraction
 
@@ -79,7 +82,7 @@ def test_rank_matches_determinant_oracle(rows):
 @settings(max_examples=100, deadline=None)
 @given(structured_rows(8, 12))
 def test_rank_matches_fraction_echelon(rows):
-    assert linalg.rank(rows) == len(linalg._echelon(rows)[1])
+    assert linalg.rank(rows) == len(linalg.kernel_basis(rows).pivot_columns)
 
 
 def test_rank_and_build_matrix_do_no_fraction_arithmetic(monkeypatch, pipe):
@@ -270,6 +273,20 @@ def test_solve_rejects_wrong_cardinality(pipe):
 def test_solve_rejects_target_in_basis(pipe):
     with pytest.raises(ValueError):
         linalg.solve_in_basis(pipe.rows, (1, 2, 3), 2)
+
+
+@pytest.mark.parametrize("rows, basis, target, message", [
+    (PIPE_ROWS, (True, 2, 3), 4, "column index must be an integer, got True"),
+    (PIPE_ROWS, (1, 2, 3), 4.0, "column index must be an integer, got 4.0"),
+    (PIPE_ROWS, (1, 1, 2), 4, "basis columns contain duplicates"),
+    (PIPE_ROWS, (1, 2, 9), 4, "column index 9 out of range for 5 columns"),
+    # Columns 0 and 1 are equal, and the target is their multiple.
+    ([[1, 1, 1, 0], [0, 0, 0, 1]], (0, 1), 2, "basis columns are not linearly independent"),
+], ids=["bool basis column", "float target", "duplicate", "out of range", "dependent basis"])
+def test_solve_error_messages(rows, basis, target, message):
+    with pytest.raises(ValueError) as error:
+        linalg.solve_in_basis(rows, basis, target)
+    assert str(error.value) == message
 
 
 @settings(max_examples=100, deadline=None)

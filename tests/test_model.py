@@ -263,10 +263,20 @@ def test_value_types_pickle_and_copy(cls, fields, text):
     (lambda: Invariant((0, 0)), "an invariant cannot have an all-zero exponent vector"),
     (lambda: Invariant((2, -4)), "exponents are not relatively prime: (2, -4)"),
     (lambda: IndexSet((1, 1)), "indices must be distinct"),
+    (lambda: DimensionSystem(("L", 5)), "dimensions[1]: invalid dimension name 5"),
+    (lambda: Quantity(5, (1,)),
+     "name: invalid quantity name 5 (letters, digits and _ ( ) . / + ' - are allowed, "
+     "no whitespace)"),
+    (lambda: Invariant((True, 2)), "exponents must be integers, got True"),
+    (lambda: Invariant((1.0, 2)), "exponents must be integers, got 1.0"),
+    (lambda: IndexSet(("a", "b")), "index must be an integer, got 'a'"),
+    (lambda: IndexSet((2, True)), "index must be an integer, got True"),
 ], ids=[
     "no dimension", "bad dimension name", "repeated dimension", "bad quantity name",
     "non-integer exponent", "non-string display", "unencodable display", "zero invariant",
-    "non-primitive invariant", "repeated index",
+    "non-primitive invariant", "repeated index", "non-string dimension name",
+    "non-string quantity name", "bool invariant exponent", "float invariant exponent",
+    "string index", "bool index",
 ])
 def test_value_type_validation_messages(make, message):
     with pytest.raises(ValueError) as error:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from dimbasis import BasisSet, Invariant, build_representation, equation_system
 from dimbasis.render import (
+    _function_label,
     invariant_json,
     render_index_set,
     render_invariant,
@@ -92,6 +93,24 @@ def test_render_representation_without_actives(laminar):
     rep = build_representation(laminar, 0, BasisSet((1, 2, 3)), "Phi_1")
     line = render_representation(rep, ("dP/l", "mu", "d", "u"))
     assert line == "dP/l = (mu·u / d^2) · Phi_1()"
+
+
+def test_render_representation_without_prefactor():
+    # A dimensionless dependent quantity takes no prefactor.
+    names = ("Re", "u", "d", "nu")
+    m = matrix_of(("L", "T"), zip(names, ((0, 0), (1, -1), (1, 0), (2, -1))))
+    rep = build_representation(m, 0, BasisSet((1, 2)), "Phi_1")
+    assert rep.scaling == ()
+    assert render_representation(rep, names) == "Re = Phi_1(nu / (u·d))"
+    assert render_representation(rep, names, "latex") == (
+        r"Re = \Phi_{1}\left(\frac{nu}{u\, d}\right)"
+    )
+
+
+def test_function_label_outside_the_name_k_pattern():
+    assert _function_label("Phi", "latex") == r"\Phi"
+    assert _function_label("Phi2", "latex") == "Phi2"
+    assert _function_label("F-1", "latex") == "F-1"
 
 
 def test_render_representation_latex(pipe):
