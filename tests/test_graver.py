@@ -230,7 +230,7 @@ def test_completion_matches_two_orientation_reference_on_random_matrices():
 
 def test_box_search_matches_box_oracle_on_random_matrices():
     for rows in DIFFERENTIAL:
-        for bound in (1, 2):
+        for bound in (1, 2, 3) if len(rows[0]) <= 4 else (1, 2):
             assert graver._brute_force(rows, bound) == oracle_box_minimal(rows, bound), rows
 
 
@@ -298,3 +298,17 @@ def test_box_search_joins_halves_of_unlike_row_sums():
         found = graver._brute_force(rows, bound)
         assert found == oracle_box_minimal(rows, bound)
         assert found
+
+
+def test_box_search_keys_row_sums_next_to_a_power_of_two():
+    # The search joins half-points on an integer key with one digit per row sum.
+    # Each big row's entries sum to 2^p - 1, 2^p or 2^p + 1, next to a small row.
+    # A point of the box brings the big row to the largest power of two not above
+    # its largest reachable sum while the small row reads -1, so a digit base one
+    # bit narrower than the row sums need joins that point as a kernel point.
+    for p in (2, 5, 12, 40):
+        for big in ([2 ** (p - 1), 0, 2 ** (p - 1) - 1, 0], [1, 0, 2**p - 1, 0], [2**p, 0, 1, 0]):
+            small = [0, 1, 0, 0]
+            for rows in ([big, small], [small, big]):
+                for bound in (1, 2):
+                    assert graver._brute_force(rows, bound) == oracle_box_minimal(rows, bound), rows

@@ -257,11 +257,11 @@ def test_solve_initial_position_in_velocity_gravity(falling_body):
     assert linalg.solve_in_basis(falling_body.rows, (2, 3), 1) == (2, -1)
 
 
-def test_solve_rejects_dependent_basis(pipe):
-    # S(t) and S0 columns are parallel in the falling-body matrix; here use
-    # a duplicated column instead.
-    rows = [[1, 1, 0], [2, 2, 1]]
-    with pytest.raises(ValueError):
+def test_solve_rejects_dependent_basis():
+    # Columns 0 and 1 are equal and the target lies in their span, so only the
+    # independence check can refuse the basis.
+    rows = [[1, 1, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(ValueError, match="^basis columns are not linearly independent$"):
         linalg.solve_in_basis(rows, (0, 1), 2)
 
 
