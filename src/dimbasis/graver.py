@@ -27,7 +27,16 @@ provided:
   :func:`dimbasis.linalg.integer_kernel_basis`), which makes the result the
   full Graver basis regardless of processing order. The fields start as wide
   as the largest basis entry needs; a sum that does not fit widens them by a
-  bit, so any input stays exact.
+  bit, so any input stays exact. A normal form is one pass over the
+  generators: the remainder only shrinks, so a generator that does not reduce
+  it now never will. The completion runs on the simple matrix, one column per
+  class of columns equal up to sign, with the zero columns (dimensionless
+  quantities) dropped, and its elements are expanded: a zero column j gives
+  +-e_j, two columns a, b of a class with signs s_a, s_b give
+  +-(s_b e_a - s_a e_b), and each simple element shares its value x at a class
+  of t columns among them in every same-sign way, C(|x| + t - 1, t - 1) of
+  them. An expansion of more than ``_MAX_EXPANDED_PAIRS`` pairs raises
+  :class:`~dimbasis.model.SizeLimitError` before any is built.
 * ``brute_force``: enumerate kernel points with all entries bounded and keep
   the minimal ones. Exact for every element within the bound, but blind to
   Graver elements with larger entries; useful as an independent check. It
@@ -41,12 +50,17 @@ provided:
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain, combinations, product
+from math import comb, prod
+from operator import neg
 from typing import Iterable, Sequence
 
 from . import linalg
 from .model import DimensionalMatrix, Invariant, InvariantPair, SizeLimitError
 
 Vector = tuple[int, ...]
+# Classes of columns equal up to sign: each member is (column index, sign).
+Classes = list[list[tuple[int, int]]]
 
 # The box search visits two halves of about (2*bound + 1)^(n/2) points each, so
 # the cap bounds the kernel points that the minimal-element filter sorts and
@@ -54,9 +68,14 @@ Vector = tuple[int, ...]
 MAX_BOX_POINTS = 10**6
 
 # Each normal form scans the growing generator list, so it is charged the list's
-# length. A seeded 3 x 7 matrix is charged 11.9 million (about 1 s, Python 3.11);
-# the cap lets it finish and stops 3 x 8 in about 2 s and 3 x 12 in about 1 s.
+# length. A seeded 3 x 7 matrix is charged 11.9 million (about 0.45 s, Python
+# 3.11); the cap lets it finish and stops 3 x 8 and 3 x 12 in about 1 s.
 _MAX_GENERATOR_SCANS = 30_000_000
+
+# The expansion from the simple matrix counts the pairs it would build before it
+# builds any. At 20 quantities a pair costs about 10 us (Python 3.11), so an
+# expansion at the cap takes about 1 s.
+_MAX_EXPANDED_PAIRS = 100_000
 
 # The completion's least field width: entries up to 127 fit without widening.
 _MIN_FIELD_WIDTH = 8
@@ -90,16 +109,18 @@ def _unpack(packed: Iterable[int], width: int, n: int) -> list[Vector]:
 
 
 def _normal_form(a: int, generators: Sequence[int], guards: int) -> int:
-    # g <= a exactly when taking g from a with every guard set clears no guard.
-    while a:
-        high = a | guards
-        for g in generators:
-            if (high - g) & guards == guards:
-                a -= g
-                break
-        else:
-            break
-    return a
+    # g <= a exactly when taking g from a with every guard set clears no guard, and
+    # the difference then has every guard set again. The remainder only shrinks
+    # under <=, so a generator that does not reduce it now never will: one pass,
+    # taking each generator while it reduces, subtracts the same sequence as
+    # rescanning from the first generator after every step.
+    high = a | guards
+    for g in generators:
+        while (d := high - g) & guards == guards:
+            if d == guards:
+                return 0
+            high = d
+    return high - guards
 
 
 def _minimal_elements(vectors: Iterable[int], guards: int) -> list[int]:
@@ -171,6 +192,72 @@ def _completion(rows: Sequence[Sequence[int]]) -> set[Vector]:
     return set(_unpack(_minimal_elements(generators, guards), width, n))
 
 
+def _simplify(rows: Sequence[Sequence[int]]) -> tuple[list[int], Classes, list[Vector]]:
+    # The zero columns; the columns grouped into classes equal up to sign, in order
+    # of first occurrence, each member (j, sign) relative to the class's first
+    # member; and the rows of the simple matrix of those first members.
+    loops: list[int] = []
+    classes: dict[Vector, list[tuple[int, int]]] = {}
+    for j, column in enumerate(zip(*rows)):
+        if column in classes:
+            classes[column].append((j, 1))
+        elif (negated := tuple(map(neg, column))) in classes:
+            classes[negated].append((j, -1))
+        elif any(column):
+            classes[column] = [(j, 1)]
+        else:
+            loops.append(j)
+    return loops, list(classes.values()), list(zip(*classes))
+
+
+def _expand(simple: set[Vector], loops: list[int], classes: Classes, n: int) -> list[Vector]:
+    # One orientation of each Graver pair of the full matrix: e_j per zero column j,
+    # e_a - s_a s_b e_b per pair a < b of a class with signs s, and each simple pair
+    # with its value x at a class of t members split into every same-sign
+    # composition, a member of sign s taking s times its share: C(|x| + t - 1, t - 1)
+    # ways. A vector is oriented by its first nonzero entry.
+    oriented = [u for u in simple if next(filter(None, u)) > 0]
+    repeated = [k for k, c in enumerate(classes) if len(c) > 1]
+    count = len(loops) + sum(comb(len(classes[k]), 2) for k in repeated) + sum(
+        prod(comb(abs(u[k]) + len(classes[k]) - 1, len(classes[k]) - 1) for k in repeated)
+        for u in oriented)
+    if count > _MAX_EXPANDED_PAIRS:
+        raise SizeLimitError(f"Graver expansion would build {count} pairs, "
+                             f"exceeding the cap of {_MAX_EXPANDED_PAIRS}")
+    out: list[Vector] = []
+    for entries in [{j: 1} for j in loops] + [
+        {a: 1, b: -sa * sb} for k in repeated for (a, sa), (b, sb) in combinations(classes[k], 2)
+    ]:
+        v = [0] * n
+        for j, x in entries.items():
+            v[j] = x
+        out.append(tuple(v))
+    # A vector is read off (*u, *shares, 0): a zero column reads the 0, a column
+    # alone in its class k reads u[k], and a member of a repeated class its share.
+    members = [j for k in repeated for j, _ in classes[k]]
+    where = [len(classes) + len(members)] * n
+    for k, c in enumerate(classes):
+        where[c[0][0]] = k
+    for i, j in enumerate(members, len(classes)):
+        where[j] = i
+    shares: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for u in oriented:
+        for k in repeated:
+            if (k, u[k]) not in shares:
+                # Stars and bars: t - 1 bars among |x| + t - 1 places cut |x| into t parts.
+                signs = [s if u[k] > 0 else -s for _, s in classes[k]]
+                places = abs(u[k]) + len(signs) - 1
+                shares[k, u[k]] = [
+                    tuple(s * (b - a - 1) for s, a, b in zip(signs, (-1, *bars), (*bars, places)))
+                    for bars in combinations(range(places), len(signs) - 1)
+                ]
+        for choice in product(*(shares[k, u[k]] for k in repeated)):
+            flat = (*u, *chain.from_iterable(choice), 0)
+            v = tuple(map(flat.__getitem__, where))
+            out.append(v if next(filter(None, v)) > 0 else tuple(map(neg, v)))
+    return out
+
+
 def _brute_force(rows: Sequence[Sequence[int]], bound: int) -> set[Vector]:
     # A half-point is (key, packed A): key holds row i's sum as digit i in base 2^k,
     # 2^k > bound * max_i sum_j |a_ij|, so a left key plus a right key is 0 exactly
@@ -219,7 +306,11 @@ def graver_basis(
     if method == "completion":
         if bound is not None:
             raise ValueError(f"the completion method takes no bound, got {bound!r}")
-        vectors = _completion(rows)
+        loops, classes, simple = _simplify(rows)
+        if len(classes) == n:
+            vectors = _completion(rows)
+        else:
+            vectors = _expand(_completion(simple) if classes else set(), loops, classes, n)
     elif method == "brute_force":
         if bound is not None and type(bound) is not int:  # a bool is no bound
             raise ValueError(f"brute-force bound must be an integer, got {bound!r}")

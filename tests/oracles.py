@@ -12,7 +12,9 @@ basis by its definition, the union of those reductions over every basis set.
 :func:`oracle_graver_completion` is the Pottier completion that sums both
 orientations of every new vector, from a lattice basis given by the caller,
 and :func:`oracle_box_minimal` the minimal kernel points of a box, found by
-testing every point of it. :func:`oracle_is_kernel_lattice_basis` checks a
+testing every point of it. :func:`oracle_normal_form` reduces a packed vector
+the way the completion once did, rescanning from the first generator after
+every step. :func:`oracle_is_kernel_lattice_basis` checks a
 lattice basis by its minors, and :func:`oracle_express` solves for a vector
 in the span of others by Cramer's rule. Only usable for small matrices.
 """
@@ -228,6 +230,25 @@ def oracle_graver_completion(lattice_basis) -> set[tuple[int, ...]]:
         if any(s):
             add_pair(s)
     return {v for v in generators if not any(w != v and _conforms(w, v) for w in generators)}
+
+
+def oracle_normal_form(a: int, generators, guards: int) -> int:
+    """The remainder of packed vector *a* after reduction by nonzero *generators*.
+
+    Vectors are packed as in :mod:`dimbasis.graver`: each field has a clear guard
+    bit on top, and g <= a exactly when taking g from a with every guard set
+    clears no guard. After every subtraction the scan restarts from the first
+    generator, until none is below the remainder.
+    """
+    while a:
+        high = a | guards
+        for g in generators:
+            if (high - g) & guards == guards:
+                a -= g
+                break
+        else:
+            break
+    return a
 
 
 def oracle_box_minimal(rows, bound: int) -> set[tuple[int, ...]]:

@@ -772,23 +772,40 @@ def test_fuzz_mutated_fixtures(fuzz_path, data, command, fmt):
     check_contract(fuzz_path, data, command, fmt)
 
 
+PACKAGING_JOB = (REPO / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+
+
+def packaging_argv(args: str) -> list[str]:
+    """The argument list of a console-script run in the CI ``packaging`` job."""
+    paths = {"$pipe": PIPE, "$GITHUB_WORKSPACE": str(REPO)}
+    return shlex.split(re.sub(r"\$\w+", lambda v: paths[v.group()], args))
+
+
 def packaging_expectations() -> list[tuple[list[str], str]]:
     """The console-script runs whose stdout the CI ``packaging`` job spells out.
 
     Each is the argument list and the exact stdout: a ``test "$(...)" = value``
     line, or a run into ``file.txt`` checked by ``diff - file.txt <<'EOF'``.
     """
-    text = (REPO / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     runs = [(args, value + "\n") for args, value in
-            re.findall(r'test "\$\("\$bin/dimbasis" ([^)\n]*)\)" = (\S+)', text)]
+            re.findall(r'test "\$\("\$bin/dimbasis" ([^)\n]*)\)" = (\S+)', PACKAGING_JOB)]
     heredoc = r"^( *)\"\$bin/dimbasis\" ([^\n]*) > (\S+)\n\1diff - \3 <<'EOF'\n(.*?)^\1EOF$"
-    for indent, args, _, body in re.findall(heredoc, text, re.M | re.S):
+    for indent, args, _, body in re.findall(heredoc, PACKAGING_JOB, re.M | re.S):
         runs.append((args, "".join(line[len(indent):] + "\n" for line in body.splitlines())))
-    paths = {"$pipe": PIPE, "$GITHUB_WORKSPACE": str(REPO)}
-    return [
-        (shlex.split(re.sub(r"\$\w+", lambda v: paths[v.group()], args)), stdout)
-        for args, stdout in runs
-    ]
+    return [(packaging_argv(args), stdout) for args, stdout in runs]
+
+
+def packaging_line_counts() -> list[tuple[list[str], int, list[str] | None]]:
+    """The console-script runs whose line count the CI ``packaging`` job checks.
+
+    Each is a run into ``file.txt`` checked by ``test "$(wc -l < file.txt)" = count``:
+    its argument list, the count, and the argument list of a second run that
+    ``| diff file.txt -`` compares with it on the next line, or None.
+    """
+    counted = (r'^( *)"\$bin/dimbasis" ([^\n]*) > (\S+)\n\1test "\$\(wc -l < \3\)" = (\d+)\n'
+               r'(?:\1"\$bin/dimbasis" ([^\n|]*) \| diff \3 -\n)?')
+    return [(packaging_argv(args), int(count), packaging_argv(other) if other else None)
+            for _, args, _, count, other in re.findall(counted, PACKAGING_JOB, re.M)]
 
 
 def test_packaging_job_expects_what_the_cli_prints():
@@ -799,3 +816,14 @@ def test_packaging_job_expects_what_the_cli_prints():
     for argv, stdout in cases:
         code, out, err = run_main(argv)
         assert (code, out.decode("utf-8"), err) == (0, stdout, b""), argv
+    counts = packaging_line_counts()
+    assert [(os.path.basename(argv[2]), count, other is not None)
+            for argv, count, other in counts] == [
+        ("pipe.dim", 5, True), ("falling_body.dim", 8, True), ("two_body.dim", 3, True),
+        ("pipe_10.dim", 444, False),
+    ]
+    for argv, count, other in counts:
+        code, out, err = run_main(argv)
+        assert (code, len(out.splitlines()), err) == (0, count, b""), argv
+        if other is not None:
+            assert run_main(other) == (0, out, b""), other

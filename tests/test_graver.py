@@ -1,17 +1,26 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dimbasis import SizeLimitError, circuit_basis, conforms, graver, graver_basis, linalg
-from conftest import matrix_of
-from oracles import oracle_box_minimal, oracle_graver_completion
+from dimbasis.problem import parse_problem
+from conftest import FIXTURE_DIR, matrix_of, run_main
+from oracles import oracle_box_minimal, oracle_graver_completion, oracle_normal_form
 
 
 def single_row(*entries):
     return matrix_of(("X",), tuple((f"q{k+1}", (e,)) for k, e in enumerate(entries)))
+
+
+def matrix_of_rows(rows):
+    return matrix_of(tuple(f"D{i}" for i in range(len(rows))),
+                     tuple((f"q{j}", col) for j, col in enumerate(zip(*rows))))
 
 
 def test_graver_of_1_2_1():
@@ -150,9 +159,7 @@ SEEDED_3X7 = [[-1, -1, 1, 2, 0, -1, 2], [2, 0, 2, -2, 2, 1, 1], [2, 2, -2, 1, -1
 
 
 def test_seeded_3x7_graver_basis():
-    matrix = matrix_of(
-        ("D0", "D1", "D2"), tuple((f"q{j}", col) for j, col in enumerate(zip(*SEEDED_3X7)))
-    )
+    matrix = matrix_of_rows(SEEDED_3X7)
     pairs = graver_basis(matrix)
     assert len(pairs) == 201
     assert set(circuit_basis(matrix)) <= pairs
@@ -162,6 +169,43 @@ def test_seeded_3x7_graver_basis():
         assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in SEEDED_3X7)
         assert math.gcd(*v) == 1
         assert not any(w != v and conforms(w, v) for w in elements)
+
+
+def test_seeded_3x7_completion_budget_is_inclusive(monkeypatch):
+    # The 3 x 7 matrix has no zero or repeated column, so the completion runs on
+    # it as given: 33,718 normal forms charged 11,904,334 generator scans.
+    matrix = matrix_of_rows(SEEDED_3X7)
+    monkeypatch.setattr("dimbasis.graver._MAX_GENERATOR_SCANS", 11_904_334)
+    assert len(graver_basis(matrix)) == 201
+    monkeypatch.setattr("dimbasis.graver._MAX_GENERATOR_SCANS", 11_904_333)
+    with pytest.raises(SizeLimitError,
+                       match=r"^Graver completion would scan more than 11904333 generators$"):
+        graver_basis(matrix)
+
+
+@st.composite
+def packed_reductions(draw):
+    """A packed vector, a list of nonzero packed generators and the guard bits.
+
+    Entries of the vector reach 9 and those of the generators 3, so several
+    generators usually reduce the vector, some of them more than once.
+    """
+    n = draw(st.integers(1, 5))
+    width = 5
+
+    def vector(limit: int):
+        return draw(st.lists(st.integers(-limit, limit), min_size=n, max_size=n))
+
+    generators = [vector(3) for _ in range(draw(st.integers(0, 12)))]
+    packed = [graver._pack(g, width) for g in generators if any(g)]
+    return graver._pack(vector(9), width), packed, graver._guards(width, 2 * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=packed_reductions())
+def test_one_pass_normal_form_matches_restarting_reference(case):
+    a, generators, guards = case
+    assert graver._normal_form(a, generators, guards) == oracle_normal_form(a, generators, guards)
 
 
 def test_completion_matches_reference_on_fixtures(pipe, laminar, falling_body, two_body):
@@ -312,3 +356,105 @@ def test_box_search_keys_row_sums_next_to_a_power_of_two():
             for rows in ([big, small], [small, big]):
                 for bound in (1, 2):
                     assert graver._brute_force(rows, bound) == oracle_box_minimal(rows, bound), rows
+
+
+@st.composite
+def repeated_column_rows(draw):
+    """An m x n matrix, m <= 3 and n <= 6, entries in [-2, 2], with repeats.
+
+    Up to three of its columns are copies of earlier ones, negated copies or
+    zero columns, each put at a drawn place among the others.
+    """
+    m = draw(st.integers(1, 3))
+    columns = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                            min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, min(3, 6 - len(columns))))):
+        source = draw(st.sampled_from(columns))
+        column = draw(st.sampled_from([source, [-x for x in source], [0] * m]))
+        columns.insert(draw(st.integers(0, len(columns))), column)
+    return [list(row) for row in zip(*columns)]
+
+
+def exponents(pairs) -> set[tuple[int, ...]]:
+    return {p.exponents for p in pairs}
+
+
+# The reference takes up to a few seconds on the largest of these draws (about
+# 190 elements), so the draws are fewer than elsewhere.
+@settings(max_examples=100, deadline=None)
+@given(rows=repeated_column_rows())
+@example(rows=[[0, 0, 0]])  # loops only: the simple matrix has no column
+@example(rows=[[1, -1, 0, 1, 2], [2, -2, 0, 2, 1]])
+def test_expansion_matches_reference_on_the_full_matrix(rows):
+    # The reference completes the unsimplified matrix; both orientations of a
+    # pair are in it, and the pair is read from the one with a positive lead.
+    reference = oracle_graver_completion(linalg.integer_kernel_basis(rows))
+    assert exponents(graver_basis(matrix_of_rows(rows))) == {
+        v for v in reference if next(filter(None, v)) > 0
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=repeated_column_rows(), data=st.data())
+def test_graver_basis_follows_column_permutation_and_negation(rows, data):
+    n = len(rows[0])
+    pairs = exponents(graver_basis(matrix_of_rows(rows)))
+    elements = pairs | {tuple(-x for x in v) for v in pairs}
+    order = data.draw(st.permutations(range(n)))
+    permuted = [[row[j] for j in order] for row in rows]
+    assert exponents(graver_basis(matrix_of_rows(permuted))) == {
+        w for w in (tuple(v[j] for j in order) for v in elements) if next(filter(None, w)) > 0
+    }
+    flip = data.draw(st.integers(0, n - 1))
+    negated = [[-x if j == flip else x for j, x in enumerate(row)] for row in rows]
+    assert exponents(graver_basis(matrix_of_rows(negated))) == {
+        w for w in (tuple(-x if j == flip else x for j, x in enumerate(v)) for v in elements)
+        if next(filter(None, w)) > 0
+    }
+
+
+PIPE_10 = FIXTURE_DIR / "pipe_10.dim"
+
+
+def test_ten_quantity_pipe_graver_basis():
+    # d, l, eps and h are all lengths: the completion runs on 7 columns and the
+    # expansion shares each length exponent among the four of them.
+    matrix = parse_problem(PIPE_10.read_text(encoding="utf-8")).matrix
+    pairs = graver_basis(matrix)
+    assert len(pairs) == 444
+    assert set(circuit_basis(matrix)) <= pairs
+    elements = exponents(pairs)
+    both = elements | {tuple(-x for x in v) for v in elements}
+    for v in elements:
+        assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in matrix.rows)
+        assert math.gcd(*v) == 1
+        assert not any(w != v and conforms(w, v) for w in both)
+    bounded = {v for v in elements if max(map(abs, v)) <= 1}
+    assert exponents(graver_basis(matrix, "brute_force", bound=1)) == bounded
+    code, out, err = run_main(["graver", "--input", str(PIPE_10)])
+    assert (code, len(out.decode("utf-8").splitlines()), err) == (0, 444, b"")
+
+
+def test_expansion_budget_is_inclusive(monkeypatch):
+    matrix = parse_problem(PIPE_10.read_text(encoding="utf-8")).matrix
+    monkeypatch.setattr("dimbasis.graver._MAX_EXPANDED_PAIRS", 444)
+    assert len(graver_basis(matrix)) == 444
+    monkeypatch.setattr("dimbasis.graver._MAX_EXPANDED_PAIRS", 443)
+    with pytest.raises(SizeLimitError, match=r"^Graver expansion would build 444 pairs, "
+                       r"exceeding the cap of 443$"):
+        graver_basis(matrix)
+
+
+def test_expansion_over_budget_exits_2(tmp_path):
+    # One row [14, -1, ..., -1] with eight -1 columns: the simple matrix [14, -1]
+    # has the one pair (1, 14), whose 14 splits among the eight in C(21, 7) ways,
+    # besides the 28 pairs within the class: 116,308 pairs.
+    path = tmp_path / "split.dim"
+    path.write_text(json.dumps({
+        "dimensions": ["L"],
+        "quantities": [{"name": "a", "dims": [14]}]
+        + [{"name": f"b{j}", "dims": [-1]} for j in range(8)],
+    }))
+    assert run_main(["graver", "--input", str(path)]) == (
+        2, b"", b"error: Graver expansion would build 116308 pairs, exceeding the cap of 100000\n"
+    )
