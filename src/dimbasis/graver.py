@@ -35,8 +35,9 @@ provided:
   +-e_j, two columns a, b of a class with signs s_a, s_b give
   +-(s_b e_a - s_a e_b), and each simple element shares its value x at a class
   of t columns among them in every same-sign way, C(|x| + t - 1, t - 1) of
-  them. An expansion of more than ``_MAX_EXPANDED_PAIRS`` pairs raises
-  :class:`~dimbasis.model.SizeLimitError` before any is built.
+  them. An expansion of more than ``_MAX_EXPANDED_ENTRIES`` entries (pairs
+  times quantities) raises :class:`~dimbasis.model.SizeLimitError` before any
+  pair is built.
 * ``brute_force``: enumerate kernel points with all entries bounded and keep
   the minimal ones. Exact for every element within the bound, but blind to
   Graver elements with larger entries; useful as an independent check. It
@@ -73,9 +74,10 @@ MAX_BOX_POINTS = 10**6
 _MAX_GENERATOR_SCANS = 30_000_000
 
 # The expansion from the simple matrix counts the pairs it would build before it
-# builds any. At 20 quantities a pair costs about 10 us (Python 3.11), so an
-# expansion at the cap takes about 1 s.
-_MAX_EXPANDED_PAIRS = 100_000
+# builds any, and charges each pair its n entries, since building one takes time
+# in proportion to n (a few us at 20 quantities, about 35 us at 401; Python
+# 3.11). The cap is 100,000 pairs at 20 quantities, about 1 s of work.
+_MAX_EXPANDED_ENTRIES = 2_000_000
 
 # The completion's least field width: entries up to 127 fit without widening.
 _MIN_FIELD_WIDTH = 8
@@ -221,9 +223,9 @@ def _expand(simple: set[Vector], loops: list[int], classes: Classes, n: int) -> 
     count = len(loops) + sum(comb(len(classes[k]), 2) for k in repeated) + sum(
         prod(comb(abs(u[k]) + len(classes[k]) - 1, len(classes[k]) - 1) for k in repeated)
         for u in oriented)
-    if count > _MAX_EXPANDED_PAIRS:
-        raise SizeLimitError(f"Graver expansion would build {count} pairs, "
-                             f"exceeding the cap of {_MAX_EXPANDED_PAIRS}")
+    if count * n > _MAX_EXPANDED_ENTRIES:
+        raise SizeLimitError(f"Graver expansion would build {count} pairs of {n} entries, "
+                             f"exceeding the cap of {_MAX_EXPANDED_ENTRIES} entries")
     out: list[Vector] = []
     for entries in [{j: 1} for j in loops] + [
         {a: 1, b: -sa * sb} for k in repeated for (a, sa), (b, sb) in combinations(classes[k], 2)

@@ -181,10 +181,10 @@ def solve_in_basis(
     if len(cols) != r:
         raise ValueError(f"expected {r} basis columns (the matrix rank), got {len(cols)}")
 
+    # As many columns as the rank span the column space exactly when they are
+    # independent, so the one free column of the system is then the target.
     kernel = _kernel([[row[c] for c in cols] + [row[target_col]] for row in rows])
-    if len(cols) not in kernel.free_columns:
-        raise ValueError("target column lies outside the span of the basis columns")
-    if len(kernel.free_columns) != 1:
+    if kernel.free_columns != (len(cols),):
         raise ValueError("basis columns are not linearly independent")
     return tuple(-x for x in kernel.vectors[0][:-1])
 

@@ -3,19 +3,28 @@ from __future__ import annotations
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from dimbasis import DimensionSystem, DimensionalMatrix, Quantity, build_matrix
+import dimbasis
+from dimbasis import DimensionSystem, DimensionalMatrix, Quantity, build_matrix, parse_problem
 from dimbasis.cli import main
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+REPO = Path(__file__).resolve().parent.parent
+# The directory dimbasis is imported from: src/ in a checkout, site-packages
+# when the package is installed. Child interpreters get it as PYTHONPATH.
+IMPORT_ROOT = str(Path(dimbasis.__file__).resolve().parent.parent)
 # Exit code and stdout of every benchmark CLI case, each written by its own
 # ``python -m dimbasis`` process; keys are "<fixture> <command> <format>" for
 # the fixtures in perfbench/fixtures, and "error <name>" for the error paths.
-BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_DIR = REPO / "perfbench"
+# The benchmark's case table (worker.cli_cases) is imported from here; put on the
+# path by this file, so that a pythonpath given on the command line keeps it.
+sys.path.append(str(BENCH_DIR))
 CLI_GOLDEN = json.loads((BENCH_DIR / "cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -39,81 +48,32 @@ def matrix_of(dimensions, quantities) -> DimensionalMatrix:
     )
 
 
-def pipe_matrix() -> DimensionalMatrix:
-    # Turbulent pipe flow: pressure drop per length, density, viscosity,
-    # diameter, velocity over (L, T, M).
-    return matrix_of(
-        ("L", "T", "M"),
-        (
-            ("dP/l", (-2, -2, 1)),
-            ("rho", (-3, 0, 1)),
-            ("mu", (-1, -1, 1)),
-            ("d", (1, 0, 0)),
-            ("u", (1, -1, 0)),
-        ),
-    )
+def fixture_matrix(name: str) -> DimensionalMatrix:
+    """The matrix of ``tests/fixtures/<name>.dim``."""
+    return parse_problem((FIXTURE_DIR / f"{name}.dim").read_text(encoding="utf-8")).matrix
 
 
-def laminar_matrix() -> DimensionalMatrix:
-    # Same flow with density dropped (laminar regime).
-    return matrix_of(
-        ("L", "T", "M"),
-        (
-            ("dP/l", (-2, -2, 1)),
-            ("mu", (-1, -1, 1)),
-            ("d", (1, 0, 0)),
-            ("u", (1, -1, 0)),
-        ),
-    )
-
-
-def falling_body_matrix() -> DimensionalMatrix:
-    # Displacement of a falling body: S(t), initial position/velocity,
-    # gravity, elapsed time over (L, T).
-    return matrix_of(
-        ("L", "T"),
-        (
-            ("S(t)", (1, 0)),
-            ("S0", (1, 0)),
-            ("V0", (1, -1)),
-            ("g", (1, -2)),
-            ("t", (0, 1)),
-        ),
-    )
-
-
-def two_body_matrix() -> DimensionalMatrix:
-    # Orbital period of two mutually attracting bodies over (L, T, M).
-    return matrix_of(
-        ("L", "T", "M"),
-        (
-            ("t", (0, 1, 0)),
-            ("d", (1, 0, 0)),
-            ("m1", (0, 0, 1)),
-            ("m2", (0, 0, 1)),
-            ("G", (3, -2, -1)),
-        ),
-    )
-
-
+# Turbulent pipe flow over (L, T, M): pressure drop per length, density,
+# viscosity, diameter, velocity; laminar drops the density. A falling body's
+# displacement over (L, T); the orbital period of two bodies over (L, T, M).
 @pytest.fixture
 def pipe() -> DimensionalMatrix:
-    return pipe_matrix()
+    return fixture_matrix("pipe")
 
 
 @pytest.fixture
 def laminar() -> DimensionalMatrix:
-    return laminar_matrix()
+    return fixture_matrix("laminar")
 
 
 @pytest.fixture
 def falling_body() -> DimensionalMatrix:
-    return falling_body_matrix()
+    return fixture_matrix("falling_body")
 
 
 @pytest.fixture
 def two_body() -> DimensionalMatrix:
-    return two_body_matrix()
+    return fixture_matrix("two_body")
 
 
 @pytest.fixture

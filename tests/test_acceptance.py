@@ -15,7 +15,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -31,16 +30,7 @@ from dimbasis import (
     graver_basis,
     unified_basis,
 )
-from conftest import (
-    CLI_GOLDEN,
-    FIXTURE_DIR,
-    falling_body_matrix,
-    laminar_matrix,
-    matrix_of,
-    pipe_matrix,
-    run_main,
-    two_body_matrix,
-)
+from conftest import CLI_GOLDEN, FIXTURE_DIR, IMPORT_ROOT, fixture_matrix, matrix_of, run_main
 from oracles import evaluate_invariant, oracle_basis_sets, oracle_circuit_sets
 
 F = Fraction
@@ -97,10 +87,10 @@ def canonical(vector):
 @criterion(1, "summary table (n, r, n-r, circuit-basis size, upper bound)")
 def test_criterion_1_summary_table():
     expected = [
-        (pipe_matrix(), 5, 3, 2, 5, 5),
-        (laminar_matrix(), 4, 3, 1, 1, 1),
-        (falling_body_matrix(), 5, 2, 3, 8, 10),
-        (two_body_matrix(), 5, 3, 2, 3, 5),
+        (fixture_matrix("pipe"), 5, 3, 2, 5, 5),
+        (fixture_matrix("laminar"), 4, 3, 1, 1, 1),
+        (fixture_matrix("falling_body"), 5, 2, 3, 8, 10),
+        (fixture_matrix("two_body"), 5, 3, 2, 3, 5),
     ]
     for matrix, n, r, n_minus_r, size, upper in expected:
         assert len(matrix.quantities) == n
@@ -112,7 +102,7 @@ def test_criterion_1_summary_table():
 
 @criterion(2, "pipe-flow basis sets, per-basis systems, circuit and unified bases")
 def test_criterion_2_pipe_golden():
-    pipe = pipe_matrix()
+    pipe = fixture_matrix("pipe")
     bases = enumerate_basis_sets(pipe)
     assert [b.indices for b in bases] == sorted(PIPE_SYSTEMS)
     for basis in bases:
@@ -127,7 +117,7 @@ def test_criterion_2_pipe_golden():
 
 @criterion(3, "representation prefactors for the three worked relations")
 def test_criterion_3_representations():
-    pipe = pipe_matrix()
+    pipe = fixture_matrix("pipe")
     reps = equation_system(pipe, 0).representations
     assert [dict(r.scaling) for r in reps] == [
         {1: -1, 2: 2, 3: -3},   # rho^-1 mu^2 d^-3
@@ -136,7 +126,7 @@ def test_criterion_3_representations():
         {2: 1, 3: -2, 4: 1},    # mu d^-2 u
     ]
 
-    falling = falling_body_matrix()
+    falling = fixture_matrix("falling_body")
     reps = equation_system(falling, 0, (4,)).representations
     assert len(reps) == 3
     assert [dict(r.scaling) for r in reps] == [{1: 1}, {1: 1}, {2: 2, 3: -1}]
@@ -146,7 +136,7 @@ def test_criterion_3_representations():
         [(0, 1, -2, 1, 0), (0, 0, -1, 1, 1)],
     ]
 
-    two_body = two_body_matrix()
+    two_body = fixture_matrix("two_body")
     reps = equation_system(two_body, 0).representations
     assert len(reps) == 2
     squared = [
@@ -179,7 +169,7 @@ SCRIPT_ROWS = [
 def test_criterion_4_script_equivalence():
     from dimbasis import linalg
 
-    falling = falling_body_matrix()
+    falling = fixture_matrix("falling_body")
     circuits = enumerate_circuit_sets(falling)
     assert len(circuits) == 8
 
@@ -205,7 +195,7 @@ def test_criterion_5_graver():
         (0, 1, -2),
         (1, -1, 1),
     }
-    fixtures = [pipe_matrix(), laminar_matrix(), falling_body_matrix(), two_body_matrix()]
+    fixtures = [fixture_matrix(name) for name in ("pipe", "laminar", "falling_body", "two_body")]
     for matrix in fixtures + [d121]:
         assert len(matrix.quantities) <= 5
         completed = graver_basis(matrix)
@@ -273,8 +263,7 @@ def test_criterion_6_random_property_suite():
 
 def _run_cli(args: list[str]) -> bytes:
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = IMPORT_ROOT + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
         [sys.executable, "-m", "dimbasis", *args],
         capture_output=True,

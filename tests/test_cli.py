@@ -3,8 +3,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import re
-import shlex
 import subprocess
 import sys
 
@@ -12,14 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import worker
 from dimbasis.cli import main
-from conftest import BENCH_DIR, CLI_GOLDEN, FIXTURE_DIR, run_main
+from conftest import CLI_GOLDEN, FIXTURE_DIR, IMPORT_ROOT, REPO, run_main
 
 PIPE = str(FIXTURE_DIR / "pipe.dim")
 LAMINAR = str(FIXTURE_DIR / "laminar.dim")
 FALLING = str(FIXTURE_DIR / "falling_body.dim")
 TWO_BODY = str(FIXTURE_DIR / "two_body.dim")
-REPO = FIXTURE_DIR.parent.parent
 
 
 def run(capsys, *argv):
@@ -447,6 +445,21 @@ def test_check_violation_exits_3(capsys, monkeypatch):
     assert "violation: forced" in out
 
 
+def test_check_kernel_violation_exits_3(capsys, monkeypatch):
+    from dimbasis import enumeration
+    from dimbasis.model import Invariant
+
+    # rho alone is not dimensionless; check counts the unified basis twice.
+    real = enumeration.unified_basis
+    monkeypatch.setattr(enumeration, "unified_basis",
+                        lambda matrix: [*real(matrix), Invariant((0, 1, 0, 0, 0))])
+    code, out, _ = run(capsys, "check", "--input", PIPE)
+    assert code == 3
+    assert out.splitlines()[0] == (
+        "violation: kernel membership (violations: [(0, 1, 0, 0, 0), (0, 1, 0, 0, 0)])"
+    )
+
+
 def test_check_brute_force_compares_circuits_inside_the_box(capsys):
     # Four of the five pipe-flow circuits have an entry above 1 in absolute
     # value; brute:1 cannot see them, and that is not a violation.
@@ -512,7 +525,7 @@ def test_closed_stdout_prints_no_traceback(argv, unbuffered):
     # leaves it. Buffered, the first write that fails is the flush of stdout;
     # unbuffered, it is the first print.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(BENCH_DIR.parent / "src")
+    env["PYTHONPATH"] = IMPORT_ROOT
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read, write = os.pipe()
@@ -546,38 +559,63 @@ def seeded_problem(rows) -> dict:
 OVER_BUDGET = (2, "", "error: Graver completion would scan more than 30000000 generators\n")
 
 
-def test_seeded_3x8_completion_exits_2(capsys, tmp_path):
+def test_seeded_3x8_completion_exits_2(capsys):
     # Seed 3 of the benchmark's column-major draw, 3 x 8 with entries in
     # [-2, 2]: the completion needs more than 200,000 normal forms.
-    rows = [[-1, -1, 1, 2, 0, -1, 2, -1], [2, 0, 2, -2, 2, 1, 1, -1], [2, 2, -2, 1, -1, 2, 1, -1]]
-    doc = seeded_problem(rows)
-    path = tmp_path / "graver_3x8.dim"
-    path.write_text(json.dumps(doc))
+    path = FIXTURE_DIR / "graver_3x8.dim"
+    rows = worker.draw_rows(3, 3, 8, -2, 2)
+    assert json.loads(path.read_text(encoding="utf-8")) == seeded_problem(rows)
     assert run(capsys, "graver", "--input", str(path)) == OVER_BUDGET
-    # The same problem is the fixture that CI runs through the installed script.
-    assert json.loads((FIXTURE_DIR / "graver_3x8.dim").read_text(encoding="utf-8")) == doc
 
 
 def test_seeded_3x12_completion_exits_2(capsys):
     # Seed 3, 3 x 12: a wide input whose generator list grows fast, so a budget
     # on normal forms alone refused it only after about 25 s.
-    rows = [
-        [-1, -1, 1, 2, 0, -1, 2, -1, 2, -2, -2, 0],
-        [2, 0, 2, -2, 2, 1, 1, -1, 1, -1, 0, 1],
-        [2, 2, -2, 1, -1, 2, 1, -1, -2, 2, -2, 2],
-    ]
     path = FIXTURE_DIR / "graver_3x12.dim"
+    rows = worker.draw_rows(3, 3, 12, -2, 2)
     assert json.loads(path.read_text(encoding="utf-8")) == seeded_problem(rows)
     assert run(capsys, "graver", "--input", str(path)) == OVER_BUDGET
 
 
+@pytest.mark.parametrize("name, lines, bound", [
+    ("pipe", 5, 3), ("falling_body", 8, 2), ("two_body", 3, 3), ("pipe_10", 444, None),
+])
+def test_graver_line_count_and_box_search(name, lines, bound):
+    # Where the largest entry is `bound`, the box search prints the completion's
+    # basis (the pipe's is 3; at bound 2 it differs). falling_body repeats a
+    # column (S(t) and S0 are both L) and two_body too (m1 and m2 are both M),
+    # so their completion runs on the simple matrix and is expanded; the
+    # 10-quantity pipe has four lengths.
+    argv = ["graver", "--input", str(FIXTURE_DIR / f"{name}.dim")]
+    code, out, err = run_main(argv)
+    assert (code, len(out.splitlines()), err) == (0, lines, b"")
+    if bound is not None:
+        assert run_main([*argv, "--graver-method", f"brute:{bound}"]) == (0, out, b"")
+
+
 def test_graver_of_entries_past_40_bits(capsys):
     # The one Graver pair has entries up to 5 * 10^11, so its packed fields are
-    # 40 bits wide. CI runs the same fixture through the installed script.
+    # 40 bits wide.
     path = FIXTURE_DIR / "graver_wide_entries.dim"
     assert run(capsys, "graver", "--input", str(path)) == (
         0, "a^26 / (b^500000000007·c^299999999999)\n", ""
     )
+
+
+@pytest.mark.parametrize("command", worker.COMMANDS)
+def test_pipe_over_force_length_time_prints_alike(command):
+    # pipe_flt.dim restates the pipe over F, L, T with M = F·L^-1·T^2. The rows
+    # span the same space, so every output is the same but the echoed dimensions.
+    for fmt in worker.FORMATS:
+        (code, out, err), (flt_code, flt_out, flt_err) = (
+            run_main([command, "--input", str(FIXTURE_DIR / name), "--format", fmt])
+            for name in ("pipe.dim", "pipe_flt.dim"))
+        assert (code, err) == (flt_code, flt_err) == (0, b"")
+        if fmt == "json":
+            out, flt_out = json.loads(out), json.loads(flt_out)
+            assert (out.pop("dimensions"), flt_out.pop("dimensions")) == (
+                ["L", "T", "M"], ["F", "L", "T"])
+        assert out == flt_out, fmt
 
 
 def test_text_runs_are_deterministic(capsys):
@@ -589,49 +627,18 @@ def test_text_runs_are_deterministic(capsys):
 # ---------------------------------------------------------- golden replay
 
 
-def golden_argv(key: str, tmp_path) -> list[str]:
-    """The argv of one benchmark CLI case, as perfbench/worker.py builds it.
-
-    The error-path inputs are written under tmp_path with the bytes that the
-    benchmark's ``write_error_inputs`` writes.
-    """
-    fixture = lambda name: str(BENCH_DIR / "fixtures" / name)  # noqa: E731
-    if not key.startswith("error "):
-        name, command, fmt = key.split()
-        return [command, "--input", fixture(name), "--format", fmt]
-    pipe = (BENCH_DIR / "fixtures" / "pipe.dim").read_bytes()
-    contents = {
-        "truncated.dim": pipe[: len(pipe) // 2],
-        "unknown_dimension.dim": json.dumps({
-            "dimensions": ["L", "T"],
-            "quantities": [{"name": "x", "expr": "L X"}],
-        }).encode(),
-        "nested.dim": b"[" * 100_000,
-        "latin1.dim": pipe.replace(b'"mu"', b'"\xb5"'),
-    }
-    for name, data in contents.items():
-        (tmp_path / name).write_bytes(data)
-    written = lambda name: str(tmp_path / name)  # noqa: E731
-    return {
-        "error truncated-json": ["rank", "--input", written("truncated.dim")],
-        "error unknown-dimension": ["rank", "--input", written("unknown_dimension.dim")],
-        "error max-n-below-n": ["basis-sets", "--input", fixture("pipe.dim"), "--max-n", "3"],
-        "error bad-graver-method":
-            ["graver", "--input", fixture("pipe.dim"), "--graver-method", "fast"],
-        "error nested-brackets": ["rank", "--input", written("nested.dim")],
-        "error non-utf8": ["rank", "--input", written("latin1.dim")],
-    }[key]
-
-
 @pytest.mark.parametrize("key", sorted(CLI_GOLDEN))
-def test_cli_golden_replay(key, tmp_path):
+def test_cli_golden_replay(key, monkeypatch, tmp_path):
     """Byte-identical stdout and exit code on every benchmark CLI case.
 
-    stderr is held to the benchmark's rule: empty on exit 0, otherwise
-    exactly one ``error:`` line.
+    The argv is the benchmark's own, with its error inputs written under
+    tmp_path. stderr is held to the benchmark's rule: empty on exit 0,
+    otherwise exactly one ``error:`` line.
     """
+    monkeypatch.setattr(worker, "WORK_DIR", tmp_path)
+    monkeypatch.chdir(REPO)  # the case table names perfbench/fixtures relatively
     golden = CLI_GOLDEN[key]
-    code, out, err = run_main(golden_argv(key, tmp_path))
+    code, out, err = run_main(dict(worker.cli_cases(smoke=False))[key])
     assert code == golden["exit"]
     assert out == golden["stdout"].encode("utf-8")
     lines = err.decode("utf-8", "replace").splitlines()
@@ -643,10 +650,6 @@ def test_cli_golden_replay(key, tmp_path):
 
 # --------------------------------------------------------------- fuzzing
 
-COMMANDS = (
-    "rank", "basis-sets", "circuits", "circuit-basis", "unified-basis",
-    "graver", "representations", "check",
-)
 FIXTURE_TEXTS = [
     (FIXTURE_DIR / name).read_text(encoding="utf-8")
     for name in ("pipe.dim", "laminar.dim", "falling_body.dim", "two_body.dim")
@@ -750,8 +753,8 @@ def check_contract(path, data: bytes, command: str, fmt: str) -> None:
 fuzz_settings = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-commands = st.sampled_from(COMMANDS)
-formats = st.sampled_from(["text", "latex", "json"])
+commands = st.sampled_from(worker.COMMANDS)
+formats = st.sampled_from(worker.FORMATS)
 
 
 @fuzz_settings
@@ -770,60 +773,3 @@ def test_fuzz_arbitrary_json(fuzz_path, doc, command, fmt):
 @given(data=mutated_fixtures(), command=commands, fmt=formats)
 def test_fuzz_mutated_fixtures(fuzz_path, data, command, fmt):
     check_contract(fuzz_path, data, command, fmt)
-
-
-PACKAGING_JOB = (REPO / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
-
-
-def packaging_argv(args: str) -> list[str]:
-    """The argument list of a console-script run in the CI ``packaging`` job."""
-    paths = {"$pipe": PIPE, "$GITHUB_WORKSPACE": str(REPO)}
-    return shlex.split(re.sub(r"\$\w+", lambda v: paths[v.group()], args))
-
-
-def packaging_expectations() -> list[tuple[list[str], str]]:
-    """The console-script runs whose stdout the CI ``packaging`` job spells out.
-
-    Each is the argument list and the exact stdout: a ``test "$(...)" = value``
-    line, or a run into ``file.txt`` checked by ``diff - file.txt <<'EOF'``.
-    """
-    runs = [(args, value + "\n") for args, value in
-            re.findall(r'test "\$\("\$bin/dimbasis" ([^)\n]*)\)" = (\S+)', PACKAGING_JOB)]
-    heredoc = r"^( *)\"\$bin/dimbasis\" ([^\n]*) > (\S+)\n\1diff - \3 <<'EOF'\n(.*?)^\1EOF$"
-    for indent, args, _, body in re.findall(heredoc, PACKAGING_JOB, re.M | re.S):
-        runs.append((args, "".join(line[len(indent):] + "\n" for line in body.splitlines())))
-    return [(packaging_argv(args), stdout) for args, stdout in runs]
-
-
-def packaging_line_counts() -> list[tuple[list[str], int, list[str] | None]]:
-    """The console-script runs whose line count the CI ``packaging`` job checks.
-
-    Each is a run into ``file.txt`` checked by ``test "$(wc -l < file.txt)" = count``:
-    its argument list, the count, and the argument list of a second run that
-    ``| diff file.txt -`` compares with it on the next line, or None.
-    """
-    counted = (r'^( *)"\$bin/dimbasis" ([^\n]*) > (\S+)\n\1test "\$\(wc -l < \3\)" = (\d+)\n'
-               r'(?:\1"\$bin/dimbasis" ([^\n|]*) \| diff \3 -\n)?')
-    return [(packaging_argv(args), int(count), packaging_argv(other) if other else None)
-            for _, args, _, count, other in re.findall(counted, PACKAGING_JOB, re.M)]
-
-
-def test_packaging_job_expects_what_the_cli_prints():
-    # The job installs the package from the network, so it runs only in CI;
-    # its hard-coded outputs are checked here against the in-process CLI.
-    cases = packaging_expectations()
-    assert [argv[0] for argv, _ in cases] == ["rank", "check", "graver"]
-    for argv, stdout in cases:
-        code, out, err = run_main(argv)
-        assert (code, out.decode("utf-8"), err) == (0, stdout, b""), argv
-    counts = packaging_line_counts()
-    assert [(os.path.basename(argv[2]), count, other is not None)
-            for argv, count, other in counts] == [
-        ("pipe.dim", 5, True), ("falling_body.dim", 8, True), ("two_body.dim", 3, True),
-        ("pipe_10.dim", 444, False),
-    ]
-    for argv, count, other in counts:
-        code, out, err = run_main(argv)
-        assert (code, len(out.splitlines()), err) == (0, count, b""), argv
-        if other is not None:
-            assert run_main(other) == (0, out, b""), other

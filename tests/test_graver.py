@@ -431,30 +431,30 @@ def test_ten_quantity_pipe_graver_basis():
         assert not any(w != v and conforms(w, v) for w in both)
     bounded = {v for v in elements if max(map(abs, v)) <= 1}
     assert exponents(graver_basis(matrix, "brute_force", bound=1)) == bounded
-    code, out, err = run_main(["graver", "--input", str(PIPE_10)])
-    assert (code, len(out.decode("utf-8").splitlines()), err) == (0, 444, b"")
 
 
 def test_expansion_budget_is_inclusive(monkeypatch):
+    # 444 pairs of 10 entries each.
     matrix = parse_problem(PIPE_10.read_text(encoding="utf-8")).matrix
-    monkeypatch.setattr("dimbasis.graver._MAX_EXPANDED_PAIRS", 444)
+    monkeypatch.setattr("dimbasis.graver._MAX_EXPANDED_ENTRIES", 4440)
     assert len(graver_basis(matrix)) == 444
-    monkeypatch.setattr("dimbasis.graver._MAX_EXPANDED_PAIRS", 443)
-    with pytest.raises(SizeLimitError, match=r"^Graver expansion would build 444 pairs, "
-                       r"exceeding the cap of 443$"):
+    monkeypatch.setattr("dimbasis.graver._MAX_EXPANDED_ENTRIES", 4439)
+    with pytest.raises(SizeLimitError, match=r"^Graver expansion would build 444 pairs of 10 "
+                       r"entries, exceeding the cap of 4439 entries$"):
         graver_basis(matrix)
 
 
 def test_expansion_over_budget_exits_2(tmp_path):
-    # One row [14, -1, ..., -1] with eight -1 columns: the simple matrix [14, -1]
-    # has the one pair (1, 14), whose 14 splits among the eight in C(21, 7) ways,
-    # besides the 28 pairs within the class: 116,308 pairs.
+    # One row [16, -1, ..., -1] with eight -1 columns: the simple matrix [16, -1]
+    # has the one pair (1, 16), whose 16 splits among the eight in C(23, 7) ways,
+    # besides the 28 pairs within the class: 245,185 pairs of 9 entries.
     path = tmp_path / "split.dim"
     path.write_text(json.dumps({
         "dimensions": ["L"],
-        "quantities": [{"name": "a", "dims": [14]}]
+        "quantities": [{"name": "a", "dims": [16]}]
         + [{"name": f"b{j}", "dims": [-1]} for j in range(8)],
     }))
-    assert run_main(["graver", "--input", str(path)]) == (
-        2, b"", b"error: Graver expansion would build 116308 pairs, exceeding the cap of 100000\n"
-    )
+    assert run_main(["graver", "--input", str(path)]) == (2, b"", (
+        b"error: Graver expansion would build 245185 pairs of 9 entries, "
+        b"exceeding the cap of 2000000 entries\n"
+    ))

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import dimbasis
-from conftest import BENCH_DIR, FIXTURE_DIR
+from conftest import FIXTURE_DIR, IMPORT_ROOT
 
 PACKAGE_DIR = Path(dimbasis.__file__).parent
 SUBMODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if not p.stem.startswith("_"))
@@ -34,7 +34,7 @@ ENGINES = {"dimbasis.enumeration", "dimbasis.graver", "dimbasis.representations"
 
 
 def run_python(*args) -> bytes:
-    env = {**os.environ, "PYTHONPATH": str(BENCH_DIR.parent / "src")}
+    env = {**os.environ, "PYTHONPATH": IMPORT_ROOT}
     result = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
     return result.stdout

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimbasis import build_matrix, linalg
-from conftest import pipe_matrix
+from conftest import fixture_matrix
 from oracles import oracle_express, oracle_is_kernel_lattice_basis, oracle_rank
 
-PIPE_ROWS = pipe_matrix().rows
+PIPE_ROWS = fixture_matrix("pipe").rows
 
 F = Fraction
 
@@ -282,7 +282,10 @@ def test_solve_rejects_target_in_basis(pipe):
     (PIPE_ROWS, (1, 2, 9), 4, "column index 9 out of range for 5 columns"),
     # Columns 0 and 1 are equal, and the target is their multiple.
     ([[1, 1, 1, 0], [0, 0, 0, 1]], (0, 1), 2, "basis columns are not linearly independent"),
-], ids=["bool basis column", "float target", "duplicate", "out of range", "dependent basis"])
+    # Columns 0 and 1 are equal, and the target lies outside their span.
+    ([[1, 1, 0], [0, 0, 1]], (0, 1), 2, "basis columns are not linearly independent"),
+], ids=["bool basis column", "float target", "duplicate", "out of range", "dependent basis",
+        "dependent basis missing the target"])
 def test_solve_error_messages(rows, basis, target, message):
     with pytest.raises(ValueError) as error:
         linalg.solve_in_basis(rows, basis, target)
